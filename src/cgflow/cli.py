@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,7 +44,7 @@ from .gflownet import (
     train_policy_ce,
     train_policy_tb,
 )
-from .nn import NumericalError, ParamStore, finite_difference_check
+from .nn import NNError, NumericalError, ParamStore, finite_difference_check
 from .schedule import Schedule, ScheduleError
 from .seeding import mix64
 from .stateflow import StateFlowHyper, StateFlowModel, state_loss, train_stateflow
@@ -63,6 +62,10 @@ EXIT_INVARIANT = 5
 
 class ConfigError(ValueError):
     pass
+
+
+class ArtifactError(ValueError):
+    """An artifact file exists but cannot be parsed: truncated or corrupt."""
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +261,23 @@ def read_jsonl(path: str | Path) -> tuple[dict, list[dict]]:
         raise FileNotFoundError(f"missing artifact: {path}")
     meta: dict = {}
     rows: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            doc = json.loads(line)
-            if doc.get("record") == "meta":
-                meta = doc
-            else:
-                rows.append(doc)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.endswith("\n"):
+                    raise ArtifactError(f"{path}:{lineno}: truncated line (no newline)")
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ArtifactError(f"{path}:{lineno}: corrupt JSONL line: {exc}") from None
+                if not isinstance(doc, dict):
+                    raise ArtifactError(f"{path}:{lineno}: JSONL line is not an object")
+                if doc.get("record") == "meta":
+                    meta = doc
+                else:
+                    rows.append(doc)
+    except UnicodeDecodeError as exc:
+        raise ArtifactError(f"{path}: not UTF-8 text: {exc}") from None
     return meta, rows
 
 
@@ -364,13 +377,13 @@ def cmd_train_policy(config: RunConfig) -> None:
     log.info("policy trained: %d iterations", len(metrics))
 
 
-def cmd_sample(config: RunConfig, n: int, threads: int = 1) -> None:
+def cmd_sample(config: RunConfig, n: int) -> None:
     library = config.load_library()
     state_model = _load_stateflow(config, library)
     policy = _load_policy(config, library)
-
-    def draw(j: int) -> dict:
-        sampled = sample_trajectory(
+    rollout_cache: dict = {}
+    rows = [
+        sample_trajectory(
             policy,
             state_model,
             config.schedule,
@@ -380,14 +393,10 @@ def cmd_sample(config: RunConfig, n: int, threads: int = 1) -> None:
             global_seed=config.seed,
             traj_seed=mix64(config.seed, "sample", j),
             eps_random=0.0,
-        )
-        return sampled.trajectory.to_dict()
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(draw, range(n)))
-    else:
-        rows = [draw(j) for j in range(n)]
+            rollout_cache=rollout_cache,
+        ).trajectory.to_dict()
+        for j in range(n)
+    ]
     _write_jsonl(_paths(config)["samples"], config.meta(), rows)
     log.info("wrote %d samples", n)
 
@@ -572,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to run-config JSON")
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker thread cap")
 
     for name in ("gen-data", "train-stateflow", "train-policy", "oracle", "gradcheck"):
         common(sub.add_parser(name))
@@ -606,7 +614,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "train-policy":
             cmd_train_policy(config)
         elif args.command == "sample":
-            cmd_sample(config, n=args.n, threads=max(1, args.threads))
+            cmd_sample(config, n=args.n)
         elif args.command == "oracle":
             cmd_oracle(config)
         elif args.command == "evaluate":
@@ -627,6 +635,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_CONFIG, "invalid-config", str(exc))
     except NumericalError as exc:
         return _fail(EXIT_NUMERIC, "numeric", str(exc))
+    except (ArtifactError, NNError) as exc:
+        return _fail(EXIT_INVARIANT, "invalid-artifact", str(exc))
     except (oracle.OracleError, OracleMismatch, CompositionError, LibraryValidationError) as exc:
         return _fail(EXIT_INVARIANT, "invariant", str(exc))
     except Exception as exc:  # pragma: no cover - last-resort diagnostics

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -120,6 +121,27 @@ class SynthonLibrary:
     @property
     def bricks(self) -> tuple[Synthon, ...]:
         return tuple(s for s in self.synthons if s.kind == "brick")
+
+    @cached_property
+    def point_roles(self) -> dict[str, np.ndarray]:
+        """Per-synthon read-only (m, 3) block of per-point attachment roles.
+
+        Columns: the attachment flag signed by klass (+1 alpha, -1 beta,
+        0 plain), then the synthon's alpha and beta attachment counts.  Built
+        once per library object and stored on it, so two libraries never
+        share a block.
+        """
+        roles = {}
+        for synthon in self.synthons:
+            block = np.zeros((synthon.n_points, 3))
+            n_alpha = sum(1 for a in synthon.attachments if a.klass == "alpha")
+            block[:, 1] = n_alpha
+            block[:, 2] = len(synthon.attachments) - n_alpha
+            for att in synthon.attachments:
+                block[att.point_index, 0] = 1.0 if att.klass == "alpha" else -1.0
+            block.flags.writeable = False
+            roles[synthon.id] = block
+        return roles
 
 
 def library_from_dict(doc: dict) -> SynthonLibrary:

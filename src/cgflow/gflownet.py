@@ -187,6 +187,21 @@ class SampledTrajectory:
     log_reward: float
 
 
+def next_decision_step(x: ComposedObject, rules: RuleSet, sched: Schedule) -> int:
+    """Grid step of the next compositional action on ``x``, else ``n_steps``.
+
+    Actions fire at consecutive action steps while the object is open and
+    shorter than ``max_len``, so an object built by ``k`` actions takes its
+    next one at ``action_steps(sched)[k]``.  The state flow integrates each
+    segment between two decision steps with no action inside it.
+    """
+    firing = action_steps(sched)
+    k = len(x.components)
+    if x.is_terminal or k >= len(firing) or k >= rules.max_len:
+        return sched.n_steps
+    return firing[k]
+
+
 def sample_trajectory(
     policy: PolicyModel,
     state_model: StateFlowModel,
@@ -199,36 +214,43 @@ def sample_trajectory(
     eps_random: float = 0.0,
     tape: Tape | None = None,
     forced_actions: list[ActionRef] | None = None,
+    rollout_cache: dict | None = None,
 ) -> SampledTrajectory:
     """Roll one trajectory over the step grid.
 
     At each action step the policy (or, with probability ``eps_random``, a
     uniform draw over the legal set) picks a component; between action steps
-    the state flow integrates.  Recorded log-probs are always the policy's
-    own, so exploration does not bias the balance objective.  With
-    ``forced_actions`` the action choices are replayed instead of sampled,
-    which is how the oracle and the evaluator reconstruct trajectories.
+    the state flow integrates, one segment per call.  Recorded log-probs are
+    always the policy's own, so exploration does not bias the balance
+    objective.  With ``forced_actions`` the action choices are replayed
+    instead of sampled, which is how the oracle and the evaluator
+    reconstruct trajectories.  ``rollout_cache`` is handed to
+    :func:`euler_rollout`; it must belong to this ``state_model``.
     """
     rng = rng_from(traj_seed, "trajectory")
     x = EMPTY_OBJECT
-    firing_steps = action_steps(sched)
+    step = 0
     steps: list[TrajectoryStep] = []
     nodes: list[tuple[int, int]] = []
-    for s in range(sched.n_steps):
-        if s in firing_steps and not x.is_terminal and len(x.components) < rules.max_len:
-            actions = action_space(x, rules, library)
-            probs, logp, logp_node = policy_distribution(policy, x, s, actions, tape=tape)
-            if forced_actions is not None:
-                idx = actions.index(forced_actions[len(steps)])
-            elif eps_random > 0 and rng.random() < eps_random:
-                idx = int(rng.integers(len(actions)))
-            else:
-                idx = int(rng.choice(len(actions), p=probs / probs.sum()))
-            steps.append(TrajectoryStep(step_index=s, action=actions[idx], log_prob=float(logp[idx])))
-            if tape is not None:
-                nodes.append((logp_node, idx))
-            x = transition(x, actions[idx], library, sched, global_seed, p_max=rules.p_max)
-        x = euler_rollout(x, state_model, sched, s, s + 1)
+    while True:
+        stop = next_decision_step(x, rules, sched)
+        if stop > step:
+            x = euler_rollout(x, state_model, sched, step, stop, cache=rollout_cache)
+            step = stop
+        if step == sched.n_steps:
+            break
+        actions = action_space(x, rules, library)
+        probs, logp, logp_node = policy_distribution(policy, x, step, actions, tape=tape)
+        if forced_actions is not None:
+            idx = actions.index(forced_actions[len(steps)])
+        elif eps_random > 0 and rng.random() < eps_random:
+            idx = int(rng.integers(len(actions)))
+        else:
+            idx = int(rng.choice(len(actions), p=probs / probs.sum()))
+        steps.append(TrajectoryStep(step_index=step, action=actions[idx], log_prob=float(logp[idx])))
+        if tape is not None:
+            nodes.append((logp_node, idx))
+        x = transition(x, actions[idx], library, sched, global_seed, p_max=rules.p_max)
     if not x.is_terminal:
         raise PolicyError("trajectory ended on a non-terminal object")
     log_r = log_reward(x, reward_params, library)
@@ -351,10 +373,15 @@ def train_policy_tb(
     tv_every: int = 50,
     on_metrics=None,
 ) -> tuple[PolicyModel, list[dict]]:
-    """On-policy trajectory-balance training against a frozen state flow."""
+    """On-policy trajectory-balance training against a frozen state flow.
+
+    The state flow stays frozen for the whole run, so one rollout cache
+    serves every trajectory of every iteration.
+    """
     if policy is None:
         policy = PolicyModel.create(sched, library, seed=run_seed)
     lr_map = {"log_Z": hyper.lr_log_z}
+    rollout_cache: dict = {}
     metrics: list[dict] = []
     for it in range(hyper.iters):
         t0 = time.perf_counter()
@@ -374,6 +401,7 @@ def train_policy_tb(
                 traj_seed=rng_from(run_seed, "tb-traj", it, b).integers(1 << 62),
                 eps_random=hyper.eps_random,
                 tape=tape,
+                rollout_cache=rollout_cache,
             )
             node = tb_loss_node(tape, sampled)
             loss_total = node if loss_total is None else tape.add(loss_total, node)

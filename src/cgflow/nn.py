@@ -11,6 +11,7 @@ seeds give bitwise-identical training runs.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,46 +115,49 @@ class ParamStore:
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["ParamStore", dict]:
+        """Read a checkpoint; a truncated, padded or corrupt file raises NNError."""
         data = Path(path).read_bytes()
         if data[:5] != CHECKPOINT_MAGIC:
             raise NNError(f"{path}: bad checkpoint magic {data[:5]!r}")
         offset = 5
-        (count,) = struct.unpack_from("<I", data, offset)
-        offset += 4
+
+        def take(n: int) -> bytes:
+            nonlocal offset
+            if offset + n > len(data):
+                raise NNError(f"{path}: checkpoint truncated at byte {len(data)}")
+            chunk = data[offset : offset + n]
+            offset += n
+            return chunk
+
+        def u32() -> int:
+            return struct.unpack("<I", take(4))[0]
+
+        def text(n: int) -> str:
+            try:
+                return take(n).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise NNError(f"{path}: corrupt checkpoint text: {exc}") from None
+
+        def f64(shape: tuple[int, ...]) -> np.ndarray:
+            return np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+
         store = cls()
-        order: list[str] = []
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            name = data[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            dims = []
-            for _ in range(rank):
-                (d,) = struct.unpack_from("<Q", data, offset)
-                offset += 8
-                dims.append(int(d))
-            size = int(np.prod(dims)) if dims else 1
-            payload = np.frombuffer(data, dtype="<f8", count=size, offset=offset).copy()
-            offset += size * 8
-            store.register(name, payload.reshape(dims))
-            order.append(name)
-        (step,) = struct.unpack_from("<Q", data, offset)
-        offset += 8
-        store.step = int(step)
-        for name in order:
-            shape = store._tensors[name].shape
-            size = store._tensors[name].size
-            for buf in (store._m, store._v):
-                payload = np.frombuffer(data, dtype="<f8", count=size, offset=offset).copy()
-                offset += size * 8
-                buf[name] = payload.reshape(shape)
-        meta: dict = {}
-        if offset < len(data):
-            (blob_len,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            meta = json.loads(data[offset : offset + blob_len].decode("utf-8"))
+        for _ in range(u32()):
+            name = text(u32())
+            dims = tuple(struct.unpack("<Q", take(8))[0] for _ in range(u32()))
+            store.register(name, f64(dims))
+        store.step = struct.unpack("<Q", take(8))[0]
+        for name, tensor in store._tensors.items():
+            store._m[name] = f64(tensor.shape)
+            store._v[name] = f64(tensor.shape)
+        try:
+            meta = json.loads(text(u32()))
+        except json.JSONDecodeError as exc:
+            raise NNError(f"{path}: corrupt checkpoint provenance: {exc}") from None
+        if offset != len(data):
+            raise NNError(f"{path}: {len(data) - offset} trailing bytes after checkpoint")
+        if not isinstance(meta, dict):
+            raise NNError(f"{path}: checkpoint provenance is not a JSON object")
         return store, meta
 
 

@@ -22,8 +22,8 @@ from .compstate import (
     transition,
 )
 from .domain import RewardParams, RuleSet, action_space, log_reward
-from .gflownet import PolicyModel, policy_distribution
-from .schedule import Schedule, action_steps
+from .gflownet import PolicyModel, next_decision_step, policy_distribution
+from .schedule import Schedule
 from .stateflow import StateFlowModel, euler_rollout
 
 
@@ -98,24 +98,16 @@ def enumerate_sequences(
     legal-action list, so policy probabilities can be re-scored exactly
     without re-running the state flow.
     """
-    firing = action_steps(sched)
     records: list[SequenceRecord] = []
 
-    def rollout_to_next(x: ComposedObject, depth: int, step: int) -> tuple[ComposedObject, int]:
-        if x.is_terminal or depth >= len(firing) or len(x.components) >= rules.max_len:
-            return euler_rollout(x, state_model, sched, step, sched.n_steps), sched.n_steps
-        nxt = firing[depth]
-        return euler_rollout(x, state_model, sched, step, nxt), nxt
-
-    def dfs(x, step, depth, actions, states, steps, spaces, indices):
+    def dfs(x, step, actions, states, steps, spaces, indices):
         if x.is_terminal:
-            final, _ = rollout_to_next(x, depth, step)
-            log_r = log_reward(final, reward_params, library)
+            log_r = log_reward(x, reward_params, library)
             records.append(
                 SequenceRecord(
                     key=";".join(action_key(a) for a in actions),
                     actions=tuple(actions),
-                    terminal_object=final,
+                    terminal_object=x,
                     reward=float(np.exp(log_r)),
                     log_reward=log_r,
                     decision_states=tuple(states),
@@ -132,11 +124,11 @@ def enumerate_sequences(
             raise OracleError("non-terminal state with empty action space")
         for idx, action in enumerate(space):
             child = transition(x, action, library, sched, global_seed, p_max=rules.p_max)
-            rolled, nxt = rollout_to_next(child, depth + 1, step)
+            nxt = next_decision_step(child, rules, sched)
+            rolled = euler_rollout(child, state_model, sched, step, nxt)
             dfs(
                 rolled,
                 nxt,
-                depth + 1,
                 actions + [action],
                 states + [x],
                 steps + [step],
@@ -144,7 +136,7 @@ def enumerate_sequences(
                 indices + [idx],
             )
 
-    dfs(EMPTY_OBJECT, 0, 0, [], [], [], [], [])
+    dfs(EMPTY_OBJECT, 0, [], [], [], [], [])
     records.sort(key=lambda r: r.key)
 
     bfs_keys = _enumerate_bfs_keys(rules, sched, library, cap)

@@ -145,9 +145,10 @@ def t_local_from_steps(step_index: int, t_gen_step_index: int, sched: Schedule) 
     return delta / sched.window_steps
 
 
-def kappa(t: StepTime, t_end_steps: int, sched: Schedule) -> float:
-    """Euler step rate ``min(t_end - t, dt) / t_window``; zero past the window."""
-    remaining = t_end_steps - t.step_index
+def kappa(step_index: int, t_end_steps: int, sched: Schedule) -> float:
+    """Euler step rate ``min(t_end - t, dt) / t_window`` at grid step
+    ``step_index``; zero past the window."""
+    remaining = t_end_steps - step_index
     if remaining <= 0:
         return 0.0
     return min(remaining, 1) * sched.dt / sched.t_window

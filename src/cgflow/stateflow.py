@@ -31,7 +31,7 @@ from .compstate import (
     replay_actions,
 )
 from .nn import NumericalError, ParamStore, Tape, adam_step, register_mlp
-from .schedule import Schedule, kappa, step_time, t_end_step, t_local_from_steps
+from .schedule import Schedule, kappa, t_end_step, t_local_from_steps
 from .seeding import rng_from
 
 HIDDEN = 64
@@ -60,33 +60,31 @@ def featurize_points(
     The attachment flag is signed by klass (+1 alpha, -1 beta, 0 plain) and
     the klass summary carries the owning synthon's attachment-klass counts,
     so a point's role is decodable locally rather than only through pooling.
+    Those static columns come from the library's ``point_roles`` blocks.
     """
-    rows: list[np.ndarray] = []
+    roles = library.point_roles
+    try:
+        blocks = [roles[comp.synthon_id] for comp in x.components]
+    except KeyError as exc:
+        raise CompositionError(f"unknown synthon id {exc.args[0]!r}") from None
+    mc = sched.max_components
+    feats = np.zeros((sum(b.shape[0] for b in blocks), feature_dim(sched)))
     slices: list[tuple[int, int]] = []
     offset = 0
-    for i, comp in enumerate(x.components):
-        synthon = library.get(comp.synthon_id)
-        m = synthon.n_points
-        states = np.asarray(x.states[i], dtype=np.float64)
-        cond = np.asarray(x.self_cond[i], dtype=np.float64)
-        u = t_local_from_steps(t_step, comp.t_gen_step, sched)
-        feats = np.zeros((m, feature_dim(sched)))
-        feats[:, 0:2] = states
-        feats[:, 2:4] = cond
-        feats[:, 4] = u
-        n_alpha = sum(1 for a in synthon.attachments if a.klass == "alpha")
-        n_beta = len(synthon.attachments) - n_alpha
-        feats[:, 6 + sched.max_components] = n_alpha
-        feats[:, 7 + sched.max_components] = n_beta
-        for att in synthon.attachments:
-            feats[att.point_index, 5] = 1.0 if att.klass == "alpha" else -1.0
-        feats[:, 6 + min(i, sched.max_components - 1)] = 1.0
-        rows.append(feats)
+    for i, (comp, block, states, cond) in enumerate(
+        zip(x.components, blocks, x.states, x.self_cond)
+    ):
+        m = block.shape[0]
+        rows = feats[offset : offset + m]
+        rows[:, 0:2] = states
+        rows[:, 2:4] = cond
+        rows[:, 4] = t_local_from_steps(t_step, comp.t_gen_step, sched)
+        rows[:, 5] = block[:, 0]
+        rows[:, 6 + min(i, mc - 1)] = 1.0
+        rows[:, 6 + mc : 8 + mc] = block[:, 1:]
         slices.append((offset, m))
         offset += m
-    if rows:
-        return np.concatenate(rows, axis=0), slices
-    return np.zeros((0, feature_dim(sched))), slices
+    return feats, slices
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +234,7 @@ def euler_rollout(
     from_step: int,
     to_step: int,
     snap: bool = True,
+    cache: dict | None = None,
 ) -> ComposedObject:
     """Integrate states from ``from_step`` to ``to_step`` (grid indices).
 
@@ -243,33 +242,73 @@ def euler_rollout(
     advances every generated component at its schedule rate, then snaps any
     component whose window has closed onto its prediction.  No compositional
     action may fire strictly inside the interval.
+
+    ``cache`` is a caller-owned dict of earlier rollouts under this same
+    frozen ``model`` and ``sched``.  Its key is the whole input (components,
+    interval, ``snap`` and the bytes of the states and self-conditioning),
+    so a hit is exactly the object a fresh integration returns.  Cached
+    objects are shared between callers, so their arrays are read-only.
     """
     if not from_step <= to_step <= sched.n_steps:
         raise StateFlowError(f"invalid rollout interval [{from_step}, {to_step}]")
+    if cache is None:
+        return _integrate(x, model, sched, from_step, to_step, snap)
+    key = (
+        x.components,
+        from_step,
+        to_step,
+        snap,
+        b"".join(s.tobytes() for s in x.states),
+        b"".join(c.tobytes() for c in x.self_cond),
+    )
+    out = cache.get(key)
+    if out is None:
+        out = _integrate(x, model, sched, from_step, to_step, snap)
+        for arr in out.states + out.self_cond:
+            arr.flags.writeable = False
+        cache[key] = out
+    return out
+
+
+def _integrate(
+    x: ComposedObject,
+    model: StateFlowModel,
+    sched: Schedule,
+    from_step: int,
+    to_step: int,
+    snap: bool,
+) -> ComposedObject:
+    # Kept apart from euler_rollout so a cache miss integrates without
+    # re-entering the public function.
+    if not x.components:
+        return x
+    ends = [t_end_step(comp.t_gen_step, sched) for comp in x.components]
+    paper = sched.integrator_mode == "paper"
+    dt = sched.dt
     for s in range(from_step, to_step):
-        if not x.components:
-            continue
-        preds = model.predict(x, s)
+        preds = tuple(np.array(p, dtype=np.float64) for p in model.predict(x, s))
         for i, p in enumerate(preds):
             if not np.isfinite(p).all():
                 raise NumericalError(
                     f"state-flow prediction not finite at step {s}, component {i}"
                 )
         new_states = []
-        for i, comp in enumerate(x.components):
-            end = t_end_step(comp.t_gen_step, sched)
-            state = np.asarray(x.states[i])
-            if sched.integrator_mode == "paper":
-                rate = kappa(step_time(s, sched), end, sched)
-                state = state + (preds[i] - state) * (rate * sched.dt)
+        for state, pred, end in zip(x.states, preds, ends):
+            if paper:
+                state = state + (pred - state) * (kappa(s, end, sched) * dt)
             else:
                 remaining = end - s
                 if remaining > 0:
-                    state = state + (preds[i] - state) * min(1.0, 1.0 / remaining)
+                    state = state + (pred - state) * min(1.0, 1.0 / remaining)
             if snap and s + 1 >= end:
-                state = preds[i].copy()
+                state = pred
             new_states.append(state)
-        x = x.with_states(new_states, self_cond=[p.copy() for p in preds])
+        x = ComposedObject(
+            components=x.components,
+            states=tuple(new_states),
+            self_cond=preds,
+            open_attachments=x.open_attachments,
+        )
     return x
 
 

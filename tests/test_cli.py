@@ -8,7 +8,9 @@ import pytest
 
 from cgflow.cli import (
     EXIT_CONFIG,
+    EXIT_INVARIANT,
     EXIT_MISSING_FILE,
+    ArtifactError,
     RunConfig,
     default_config_dict,
     load_config,
@@ -126,14 +128,55 @@ class TestPipeline:
         run(["train-stateflow", "--config", tiny_config])
         assert (tmp_path / "out" / "stateflow.ckpt").read_bytes() == ck
 
-    def test_threaded_sampling_deterministic(self, tiny_config, tmp_path):
+    def test_sampling_reuses_rollouts_and_stays_reproducible(self, tiny_config, tmp_path):
         run(["gen-data", "--config", tiny_config])
         run(["train-stateflow", "--config", tiny_config])
         run(["train-policy", "--config", tiny_config])
-        run(["sample", "--config", tiny_config, "-n", "12", "--threads", "1"])
-        serial = (tmp_path / "out" / "samples.jsonl").read_bytes()
-        run(["sample", "--config", tiny_config, "-n", "12", "--threads", "4"])
-        assert (tmp_path / "out" / "samples.jsonl").read_bytes() == serial
+        assert run(["sample", "--config", tiny_config, "-n", "12"]) == 0
+        first = (tmp_path / "out" / "samples.jsonl").read_bytes()
+        assert run(["sample", "--config", tiny_config, "-n", "12"]) == 0
+        assert (tmp_path / "out" / "samples.jsonl").read_bytes() == first
+
+
+class TestCorruptArtifacts:
+    def test_corrupt_config_json_is_config_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 1,')
+        assert run(["gen-data", "--config", path]) == EXIT_CONFIG
+
+    def test_cut_dataset_jsonl_is_invariant_error(self, tiny_config, tmp_path, capsys):
+        assert run(["gen-data", "--config", tiny_config]) == 0
+        path = tmp_path / "out" / "dataset.jsonl"
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        assert run(["train-stateflow", "--config", tiny_config]) == EXIT_INVARIANT
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "invalid-artifact"
+
+    def test_cut_samples_jsonl_is_invariant_error(self, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "samples.jsonl").write_text('{"record": "meta"}\n{"actions": [{"action": ')
+        assert run(["evaluate", "--config", tiny_config]) == EXIT_INVARIANT
+
+    def test_truncated_checkpoint_is_invariant_error(self, tiny_config, tmp_path):
+        assert run(["gen-data", "--config", tiny_config]) == 0
+        assert run(["train-stateflow", "--config", tiny_config]) == 0
+        path = tmp_path / "out" / "stateflow.ckpt"
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 3])
+        assert run(["oracle", "--config", tiny_config]) == EXIT_INVARIANT
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"record": "meta"}\n{"a": 1}', b'{"a": 1}\n[1, 2]\n', b'{"a": 1}\n\xff\xfe\n'],
+        ids=["no-final-newline", "not-an-object", "not-utf8"],
+    )
+    def test_read_jsonl_rejects(self, tmp_path, content):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(content)
+        with pytest.raises(ArtifactError):
+            read_jsonl(path)
 
 
 class TestGradcheckCommand:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cgflow.compstate import EMPTY_OBJECT, FirstSynthon, replay_actions
+from cgflow.compstate import EMPTY_OBJECT, AddSynthon, FirstSynthon, replay_actions, transition
 from cgflow.domain import RuleSet, action_space, generate_dataset
 from cgflow.gflownet import (
     DataPipelineError,
@@ -12,6 +12,7 @@ from cgflow.gflownet import (
     SampledTrajectory,
     ce_batch,
     ce_loss_node,
+    next_decision_step,
     policy_distribution,
     sample_trajectory,
     tb_loss_node,
@@ -21,8 +22,9 @@ from cgflow.gflownet import (
     uniform_ce_baseline,
 )
 from cgflow.nn import Tape, finite_difference_check
+from cgflow.schedule import Schedule, action_steps
 from cgflow.seeding import mix64, rng_from
-from cgflow.stateflow import StateFlowModel
+from cgflow.stateflow import StateFlowModel, euler_rollout
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +127,76 @@ class TestSampleTrajectory:
         )
         assert replayed.trajectory.sequence_key() == out.trajectory.sequence_key()
         assert replayed.trajectory.reward == out.trajectory.reward
+
+
+class TestRolloutReuse:
+    def test_cache_gives_identical_trajectories_and_gradients(
+        self, models, library, sched, rules, reward_params
+    ):
+        policy, state_model = models
+        cache: dict = {}
+
+        def draw(traj_seed, rollout_cache):
+            tape = Tape(policy.store)
+            out = sample_trajectory(
+                policy, state_model, sched, rules, library, reward_params,
+                global_seed=9, traj_seed=traj_seed, eps_random=0.3, tape=tape,
+                rollout_cache=rollout_cache,
+            )
+            return out, tape.backward(tb_loss_node(tape, out))
+
+        for j in range(24):
+            plain, g_plain = draw(j, None)
+            cached, g_cached = draw(j, cache)
+            a, b = plain.trajectory, cached.trajectory
+            assert a.sequence_key() == b.sequence_key()
+            assert [s.step_index for s in a.actions] == [s.step_index for s in b.actions]
+            assert [s.log_prob for s in a.actions] == [s.log_prob for s in b.actions]
+            assert plain.log_reward == cached.log_reward
+            for sa, sb in zip(a.terminal_object.states, b.terminal_object.states):
+                assert sa.tobytes() == sb.tobytes()
+            assert g_plain.keys() == g_cached.keys()
+            for name in g_plain:
+                assert np.array_equal(g_plain[name], g_cached[name])
+        # about one entry per decision segment, shared across trajectories
+        assert 0 < len(cache) < 24 * (rules.max_len + 1)
+
+    @pytest.mark.parametrize("mode", ["paper", "rectified"])
+    def test_matches_step_by_step_integration(self, models, library, rules, reward_params, mode):
+        # the reference sampler: one Euler step per call, acting at every
+        # action step while the object is open and below max_len
+        sched = Schedule(lam=0.3, t_window=0.4, n_steps=20, max_components=3, integrator_mode=mode)
+        policy, state_model = models
+        for j in range(6):
+            out = sample_trajectory(
+                policy, state_model, sched, rules, library, reward_params, 9, j
+            ).trajectory
+            forced = iter(s.action for s in out.actions)
+            x = EMPTY_OBJECT
+            for step in range(sched.n_steps):
+                if step in action_steps(sched) and not x.is_terminal and len(x.components) < rules.max_len:
+                    x = transition(x, next(forced), library, sched, 9, p_max=rules.p_max)
+                x = euler_rollout(x, state_model, sched, step, step + 1)
+            for got, want in zip(out.terminal_object.states, x.states):
+                assert got.tobytes() == want.tobytes()
+
+    def test_next_decision_step(self, library, sched, rules):
+        firing = action_steps(sched)
+        x = EMPTY_OBJECT
+        assert next_decision_step(x, rules, sched) == firing[0]
+        x = replay_actions([FirstSynthon("b2a")], library, sched, global_seed=1)
+        assert next_decision_step(x, rules, sched) == firing[1]
+        x = replay_actions(
+            [FirstSynthon("b2a"), AddSynthon(0, 0, "l_ab", 0)], library, sched, global_seed=1
+        )
+        assert not x.is_terminal
+        assert next_decision_step(x, rules, sched) == firing[2]
+        assert next_decision_step(x, RuleSet(max_len=2), sched) == sched.n_steps
+        done = replay_actions(
+            [FirstSynthon("b2a"), AddSynthon(0, 0, "b2b", 0)], library, sched, global_seed=1
+        )
+        assert done.is_terminal
+        assert next_decision_step(done, rules, sched) == sched.n_steps
 
 
 class TestTBLoss:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgflow.nn import (
     NNError,
@@ -212,6 +213,43 @@ class TestCheckpoint:
         path.write_bytes(b"NOTCK" + b"\x00" * 16)
         with pytest.raises(NNError):
             ParamStore.load(path)
+
+    @staticmethod
+    def _small_checkpoint(tmp_path) -> bytes:
+        store = ParamStore()
+        register_mlp(store, "m", [2, 3, 1], rng_from(5))
+        store.register("log_Z", np.array(0.25))
+        path = tmp_path / "small.ckpt"
+        store.save(path, meta={"config_hash": "abc"})
+        return path.read_bytes()
+
+    def test_every_truncation_raises_nnerror(self, tmp_path):
+        data = self._small_checkpoint(tmp_path)
+        path = tmp_path / "cut.ckpt"
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(NNError):
+                ParamStore.load(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "padded.ckpt"
+        path.write_bytes(self._small_checkpoint(tmp_path) + b"\x00")
+        with pytest.raises(NNError, match="trailing"):
+            ParamStore.load(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cut=st.integers(min_value=0), garbage=st.binary(max_size=64))
+    def test_corrupt_tail_raises_nnerror_or_loads(self, tmp_path_factory, cut, garbage):
+        # a valid prefix followed by arbitrary bytes either parses as a whole
+        # checkpoint or fails as NNError, never as struct/numpy/unicode errors
+        tmp_path = tmp_path_factory.mktemp("ckpt")
+        data = self._small_checkpoint(tmp_path)
+        path = tmp_path / "garbage.ckpt"
+        path.write_bytes(data[: cut % (len(data) + 1)] + garbage)
+        try:
+            ParamStore.load(path)
+        except NNError:
+            pass
 
 
 class TestInit:

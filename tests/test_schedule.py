@@ -70,23 +70,23 @@ class TestKappa:
     def test_window_interior(self):
         s = Schedule(lam=0.2, t_window=0.4, n_steps=20, max_components=4)
         # min(0.4 - 0.1, 0.05) / 0.4
-        assert kappa(step_time(2, s), 8, s) == pytest.approx(0.125, abs=0)
+        assert kappa(2, 8, s) == pytest.approx(0.125, abs=0)
 
     def test_remaining_below_dt(self):
         # same clamp value as with dt=0.05 and 0.02 remaining, on a grid that
         # actually contains t=0.38
         s = Schedule(lam=0.2, t_window=0.4, n_steps=50, max_components=4)
-        assert kappa(step_time(19, s), 20, s) == pytest.approx(0.05)
+        assert kappa(19, 20, s) == pytest.approx(0.05)
 
     def test_past_window_is_zero(self):
         s = Schedule(lam=0.2, t_window=0.4, n_steps=20, max_components=4)
-        assert kappa(step_time(9, s), 8, s) == 0.0
-        assert kappa(step_time(8, s), 8, s) == 0.0
+        assert kappa(9, 8, s) == 0.0
+        assert kappa(8, 8, s) == 0.0
 
     def test_step_never_exceeds_grid_spacing(self, fig2_sched):
         for s in range(fig2_sched.n_steps):
             for end in range(0, fig2_sched.n_steps + fig2_sched.window_steps):
-                rate = kappa(step_time(s, fig2_sched), end, fig2_sched)
+                rate = kappa(s, end, fig2_sched)
                 assert rate * fig2_sched.t_window <= fig2_sched.dt + 1e-15
 
 

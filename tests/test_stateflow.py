@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cgflow.stateflow as sfmod
 from cgflow.compstate import (
     AddSynthon,
+    ComponentInstance,
+    ComposedObject,
     FirstSynthon,
+    SynthonLibrary,
     decompose,
     ground_truth_layout,
     initial_state_sample,
@@ -13,7 +20,7 @@ from cgflow.compstate import (
 )
 from cgflow.domain import RuleSet, generate_dataset
 from cgflow.nn import NumericalError, Tape, finite_difference_check
-from cgflow.schedule import Schedule
+from cgflow.schedule import Schedule, t_local_from_steps
 from cgflow.seeding import rng_from
 from cgflow.stateflow import (
     StateFlowHyper,
@@ -205,6 +212,121 @@ class TestEulerRollout:
             assert np.array_equal(a, b)
 
 
+CHAIN = [FirstSynthon("b2a"), AddSynthon(0, 0, "l_ab", 0), AddSynthon(1, 1, "b2b", 0)]
+
+
+def _mode_sched(mode):
+    return Schedule(lam=0.3, t_window=0.4, n_steps=20, max_components=3, integrator_mode=mode)
+
+
+class TestRolloutCache:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=st.sampled_from(["paper", "rectified"]),
+        bounds=st.lists(st.integers(0, 20), min_size=3, max_size=3),
+        n_actions=st.integers(1, 3),
+        seed=st.integers(0, 1000),
+        snap=st.booleans(),
+    )
+    def test_segment_split_is_bitwise_identical(self, library, mode, bounds, n_actions, seed, snap):
+        sched = _mode_sched(mode)
+        a, b, c = sorted(bounds)
+        model = StateFlowModel.create(sched, library, seed=seed)
+        x = replay_actions(CHAIN[:n_actions], library, sched, global_seed=seed)
+        whole = euler_rollout(x, model, sched, a, c, snap=snap)
+        split = euler_rollout(
+            euler_rollout(x, model, sched, a, b, snap=snap), model, sched, b, c, snap=snap
+        )
+        cached = euler_rollout(x, model, sched, a, c, snap=snap, cache={})
+        for out in (split, cached):
+            for got, want in zip(out.states + out.self_cond, whole.states + whole.self_cond):
+                assert got.tobytes() == want.tobytes()
+
+    def test_hit_is_shared_and_read_only(self, library, sched):
+        model = StateFlowModel.create(sched, library, seed=3)
+        x = replay_actions(CHAIN[:2], library, sched, global_seed=3)
+        cache: dict = {}
+        first = euler_rollout(x, model, sched, 6, 12, cache=cache)
+        again = euler_rollout(x, model, sched, 6, 12, cache=cache)
+        assert again is first and len(cache) == 1
+        assert not any(arr.flags.writeable for arr in first.states + first.self_cond)
+        fresh = euler_rollout(x, model, sched, 6, 12)
+        for got, want in zip(first.states, fresh.states):
+            assert np.array_equal(got, want)
+
+    def test_key_covers_states_self_cond_and_interval(self, library, sched):
+        model = StateFlowModel.create(sched, library, seed=3)
+        x = replay_actions(CHAIN[:2], library, sched, global_seed=3)
+        nudged = x.with_states([s + 1e-12 for s in x.states], self_cond=x.self_cond)
+        recond = x.with_states(x.states, self_cond=[s + 1e-12 for s in x.self_cond])
+        cache: dict = {}
+        outs = [
+            euler_rollout(x, model, sched, 6, 12, cache=cache),
+            euler_rollout(nudged, model, sched, 6, 12, cache=cache),
+            euler_rollout(recond, model, sched, 6, 12, cache=cache),
+            euler_rollout(x, model, sched, 6, 13, cache=cache),
+            euler_rollout(x, model, sched, 6, 12, snap=False, cache=cache),
+        ]
+        assert len(cache) == len(outs)
+        assert len({id(o) for o in outs}) == len(outs)
+
+    def test_miss_does_not_reenter_public_rollout(self, library, sched, monkeypatch):
+        # the benchmark tracer rebinds euler_rollout; a recursive call through
+        # the module global would count the same steps twice
+        calls = []
+        original = sfmod.euler_rollout
+        monkeypatch.setattr(
+            sfmod, "euler_rollout", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        model = StateFlowModel.create(sched, library, seed=3)
+        x = replay_actions(CHAIN, library, sched, global_seed=3)
+        sfmod.euler_rollout(x, model, sched, 12, 20, cache={})
+        assert calls == [1]
+
+
+def reference_features(x, t_step, sched, library):
+    """featurize_points written one point at a time, straight from the spec."""
+    mc = sched.max_components
+    rows = []
+    for i, comp in enumerate(x.components):
+        synthon = library.get(comp.synthon_id)
+        n_alpha = sum(1 for a in synthon.attachments if a.klass == "alpha")
+        flags = {a.point_index: 1.0 if a.klass == "alpha" else -1.0 for a in synthon.attachments}
+        for j in range(synthon.n_points):
+            row = np.zeros(feature_dim(sched))
+            row[0:2] = x.states[i][j]
+            row[2:4] = x.self_cond[i][j]
+            row[4] = t_local_from_steps(t_step, comp.t_gen_step, sched)
+            row[5] = flags.get(j, 0.0)
+            row[6 + min(i, mc - 1)] = 1.0
+            row[6 + mc] = n_alpha
+            row[7 + mc] = len(synthon.attachments) - n_alpha
+            rows.append(row)
+    return np.array(rows).reshape(-1, feature_dim(sched))
+
+
+def every_synthon_object(library, sched, seed):
+    """One component per library synthon (featurization needs no valid bonds)."""
+    rng = rng_from(seed)
+    comps, states, cond = [], [], []
+    for i, synthon in enumerate(library):
+        comps.append(ComponentInstance(synthon.id, None, None, None, i * sched.lam_steps))
+        states.append(rng.normal(size=(synthon.n_points, 2)))
+        cond.append(rng.normal(size=(synthon.n_points, 2)))
+    return ComposedObject(components=tuple(comps), states=tuple(states), self_cond=tuple(cond))
+
+
+def swapped_klasses(library):
+    def swap(att):
+        return replace(att, klass="beta" if att.klass == "alpha" else "alpha")
+
+    return SynthonLibrary(
+        synthons=tuple(
+            replace(s, attachments=tuple(swap(a) for a in s.attachments)) for s in library
+        )
+    )
+
+
 class TestFeaturize:
     def test_shapes_and_flags(self, library, sched, three_chain):
         x, _, _ = three_chain
@@ -229,6 +351,26 @@ class TestFeaturize:
         feats, slices = featurize_points(EMPTY_OBJECT, 0, sched, library)
         assert feats.shape == (0, feature_dim(sched))
         assert slices == []
+
+    @pytest.mark.parametrize("t_step", [0, 3, 7, 20])
+    def test_matches_per_point_reference_on_every_synthon(self, library, fig2_sched, t_step):
+        x = every_synthon_object(library, fig2_sched, seed=t_step)
+        feats, slices = featurize_points(x, t_step, fig2_sched, library)
+        assert np.array_equal(feats, reference_features(x, t_step, fig2_sched, library))
+        assert [m for _, m in slices] == [s.n_points for s in library]
+
+    def test_role_blocks_never_mix_libraries(self, library, sched):
+        x = every_synthon_object(library, sched, seed=1)
+        feats = featurize_points(x, 9, sched, library)[0]
+        for _ in range(3):
+            # fresh libraries may reuse a freed library's id(); each must
+            # still get its own role blocks
+            other = swapped_klasses(library)
+            got = featurize_points(x, 9, sched, other)[0]
+            assert np.array_equal(got, reference_features(x, 9, sched, other))
+            assert not np.array_equal(got, feats)
+            del other
+        assert np.array_equal(featurize_points(x, 9, sched, library)[0], feats)
 
     def test_taped_forward_matches_numpy(self, library, sched, three_chain, rng):
         x, _, _ = three_chain

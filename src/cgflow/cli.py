@@ -44,11 +44,10 @@ from .gflownet import (
     train_policy_ce,
     train_policy_tb,
 )
-from .nn import NNError, NumericalError, ParamStore, finite_difference_check
+from .nn import NNError, NumericalError, ParamStore, Tape, finite_difference_check
 from .schedule import Schedule, ScheduleError
 from .seeding import mix64
 from .stateflow import StateFlowHyper, StateFlowModel, state_loss, train_stateflow
-from .nn import Tape
 
 log = logging.getLogger("cgflow")
 
@@ -203,45 +202,6 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     return RunConfig.from_dict(doc, base_dir=path.parent)
 
 
-def default_config_dict() -> dict:
-    return {
-        "seed": 20240810,
-        "schedule": {
-            "lambda": 0.3,
-            "t_window": 0.4,
-            "n_steps": 20,
-            "max_components": 3,
-            "integrator_mode": "paper",
-        },
-        "library": "default",
-        "rules": {"p_max": 12, "min_len": 2, "max_len": 3},
-        "reward": {
-            "anchors": [[-3.5, 0.0], [-1.5, 0.0], [0.5, 0.0], [2.5, 0.0], [4.5, 0.0]],
-            "r_min": 0.6,
-            "temperature": 0.55,
-            "beta": 1.0,
-        },
-        "stateflow": {
-            "sigma": 0.05,
-            "sigma_data": 0.05,
-            "batch": 64,
-            "iters": 2000,
-            "lr": 0.005,
-            "self_cond_prob": 0.5,
-        },
-        "policy": {
-            "batch": 64,
-            "iters": 1500,
-            "lr": 0.0001,
-            "lr_log_z": 0.001,
-            "eps_random": 0.05,
-            "objective": "tb",
-        },
-        "dataset_size": 10000,
-        "paths": {"out_dir": "runs/default"},
-    }
-
-
 # ---------------------------------------------------------------------------
 # Artifact I/O
 # ---------------------------------------------------------------------------
@@ -297,8 +257,12 @@ def _paths(config: RunConfig) -> dict[str, Path]:
 
 
 def _load_dataset(config: RunConfig) -> list[ComposedObject]:
-    _, rows = read_jsonl(_paths(config)["dataset"])
-    return [ComposedObject.from_dict(r) for r in rows]
+    path = _paths(config)["dataset"]
+    _, rows = read_jsonl(path)
+    try:
+        return [ComposedObject.from_dict(r) for r in rows]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{path}: malformed object row: {type(exc).__name__}: {exc}") from None
 
 
 def _load_stateflow(config: RunConfig, library: SynthonLibrary) -> StateFlowModel:
@@ -442,8 +406,12 @@ def cmd_oracle(config: RunConfig) -> None:
 def cmd_evaluate(config: RunConfig, samples_path: Path, table_path: Path) -> dict:
     _, sample_rows = read_jsonl(samples_path)
     _, table_rows = read_jsonl(table_path)
-    summary = next(r for r in table_rows if r.get("record") == "summary")
+    summary = next((r for r in table_rows if r.get("record") == "summary"), None)
+    if summary is None:
+        raise ArtifactError(f"{table_path}: oracle table has no summary record")
     seq_rows = [r for r in table_rows if r.get("record") != "summary"]
+    if not seq_rows:
+        raise ArtifactError(f"{table_path}: oracle table has no sequence rows")
     keys = [r["key"] for r in seq_rows]
     target = np.array([r["p_target"] for r in seq_rows])
 
@@ -535,7 +503,7 @@ def cmd_gradcheck(config: RunConfig) -> dict:
 
     results["tb_loss"] = finite_difference_check(build_tb, policy.store, rng_from(config.seed, "fd2"))
 
-    items = ce_batch(data, policy, rules, library, sched, rng_from(config.seed, "ce"), 4)
+    items = ce_batch(data, rules, library, sched, rng_from(config.seed, "ce"), 4)
 
     def build_ce(tape: Tape) -> int:
         return ce_loss_node(tape, policy, items)

@@ -373,7 +373,8 @@ def initial_state_sample(global_seed: int, points_before: int, m: int) -> np.nda
     return rng.normal(0.0, SIGMA_PRIOR, size=(m, 2))
 
 
-def _complementary(k1: str, k2: str) -> bool:
+def complementary(k1: str, k2: str) -> bool:
+    """The attachment compatibility rule: one alpha, one beta."""
     return {k1, k2} == {"alpha", "beta"}
 
 
@@ -420,7 +421,7 @@ def transition(
         parent = x.components[action.parent_component]
         parent_klass = library.get(parent.synthon_id).attachments[action.parent_attachment].klass
         child_klass = synthon.attachments[action.child_attachment].klass
-        if not _complementary(parent_klass, child_klass):
+        if not complementary(parent_klass, child_klass):
             raise CompositionError(
                 f"incompatible attachment klasses {parent_klass}/{child_klass}"
             )

@@ -23,6 +23,7 @@ from .compstate import (
     EMPTY_OBJECT,
     FirstSynthon,
     SynthonLibrary,
+    complementary,
     ground_truth_layout,
     transition,
 )
@@ -40,7 +41,6 @@ class LibraryValidationError(RuleError):
 
 @dataclass(frozen=True)
 class RuleSet:
-    allowed_pairs: frozenset[frozenset[str]] = frozenset({frozenset({"alpha", "beta"})})
     p_max: int = 12
     min_len: int = 2
     max_len: int = 3
@@ -52,9 +52,6 @@ class RuleSet:
             raise RuleError(f"max_len {self.max_len} < min_len {self.min_len}")
         if self.p_max < 1:
             raise RuleError("p_max must be positive")
-
-    def complementary(self, k1: str, k2: str) -> bool:
-        return frozenset({k1, k2}) in self.allowed_pairs
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,7 @@ def action_space(
             if points + synthon.n_points > rules.p_max:
                 continue
             for j, att in enumerate(synthon.attachments):
-                if not rules.complementary(parent_klass, att.klass):
+                if not complementary(parent_klass, att.klass):
                     continue
                 opens_after = len(x.open_attachments) - 1 + len(synthon.attachments) - 1
                 if opens_after == 0 and next_len < rules.min_len:

@@ -30,7 +30,7 @@ from .compstate import (
     transition,
 )
 from .domain import RewardParams, RuleSet, action_space, log_reward, reward
-from .nn import ParamStore, Tape, adam_step, register_mlp
+from .nn import Eval, ParamStore, Tape, adam_step, mlp_apply, register_mlp
 from .schedule import Schedule, action_steps
 from .seeding import rng_from
 from .stateflow import (
@@ -112,46 +112,16 @@ class PolicyModel:
     def _head_prefix(self, x: ComposedObject) -> str:
         return "pol.head_first" if x.is_empty else "pol.head_add"
 
-    def logits_tape(
-        self, tape: Tape, x: ComposedObject, t_step: int, actions: list[ActionRef]
-    ) -> int:
+    def logits(self, ops, x: ComposedObject, t_step: int, actions: list[ActionRef]):
+        """Legal-action logits; ``ops`` is a Tape or an Eval."""
         feats, _ = featurize_points(x, t_step, self.sched, self.library)
         if feats.shape[0] == 0:
-            pooled = tape.const(np.zeros(HIDDEN))
+            pooled = ops.const(np.zeros(HIDDEN))
         else:
-            h = tape.const(feats)
-            h = tape.silu(tape.affine(h, tape.param("pol.enc.0.w"), tape.param("pol.enc.0.b")))
-            h = tape.silu(tape.affine(h, tape.param("pol.enc.1.w"), tape.param("pol.enc.1.b")))
-            pooled = tape.mean_rows(h)
-        hp = self._head_prefix(x)
-        q = tape.silu(tape.affine(pooled, tape.param(f"{hp}.0.w"), tape.param(f"{hp}.0.b")))
-        q = tape.affine(q, tape.param(f"{hp}.1.w"), tape.param(f"{hp}.1.b"))
-        a = tape.const(action_features(x, actions, self.library, self.sched))
-        a = tape.silu(tape.affine(a, tape.param("pol.act.0.w"), tape.param("pol.act.0.b")))
-        a = tape.affine(a, tape.param("pol.act.1.w"), tape.param("pol.act.1.b"))
-        return tape.rowdot(a, q)
-
-    def logits_np(self, x: ComposedObject, t_step: int, actions: list[ActionRef]) -> np.ndarray:
-        s = self.store
-
-        def dense(v, prefix):
-            return v @ s.get(f"{prefix}.w") + s.get(f"{prefix}.b")
-
-        def silu(v):
-            return v * (1.0 / (1.0 + np.exp(-v)))
-
-        feats, _ = featurize_points(x, t_step, self.sched, self.library)
-        if feats.shape[0] == 0:
-            pooled = np.zeros(HIDDEN)
-        else:
-            h = silu(dense(feats, "pol.enc.0"))
-            h = silu(dense(h, "pol.enc.1"))
-            pooled = h.mean(axis=0)
-        hp = self._head_prefix(x)
-        q = dense(silu(dense(pooled, f"{hp}.0")), f"{hp}.1")
-        a = action_features(x, actions, self.library, self.sched)
-        a = dense(silu(dense(a, "pol.act.0")), "pol.act.1")
-        return a @ q
+            pooled = ops.mean_rows(ops.silu(mlp_apply(ops, "pol.enc", ops.const(feats), 2)))
+        q = mlp_apply(ops, self._head_prefix(x), pooled, 2)
+        a = ops.const(action_features(x, actions, self.library, self.sched))
+        return ops.rowdot(mlp_apply(ops, "pol.act", a, 2), q)
 
 
 def policy_distribution(
@@ -161,18 +131,17 @@ def policy_distribution(
     actions: list[ActionRef],
     tape: Tape | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """Softmax over legal-action logits: (probs, log-probs, log-prob node)."""
+    """Softmax over legal-action logits: (probs, log-probs, log-prob node).
+
+    Without a tape the same definition runs on an :class:`Eval`, and the
+    node is None.
+    """
     if not actions:
         raise PolicyError("policy_distribution requires a non-empty action list")
-    if tape is not None:
-        logits_node = model.logits_tape(tape, x, t_step, actions)
-        logp_node = tape.log_softmax(logits_node)
-        logp = tape.value(logp_node)
-        return np.exp(logp), logp, logp_node
-    logits = model.logits_np(x, t_step, actions)
-    shifted = logits - logits.max()
-    logp = shifted - np.log(np.exp(shifted).sum())
-    return np.exp(logp), logp, None
+    ops = Eval(model.store) if tape is None else tape
+    logp_node = ops.log_softmax(model.logits(ops, x, t_step, actions))
+    logp = ops.value(logp_node)
+    return np.exp(logp), logp, None if tape is None else logp_node
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +255,6 @@ def tb_loss_value(traj: Trajectory, log_z: float) -> float:
 
 def ce_batch(
     dataset: list[ComposedObject],
-    policy: PolicyModel,
     rules: RuleSet,
     library: SynthonLibrary,
     sched: Schedule,
@@ -443,7 +411,7 @@ def train_policy_ce(
     metrics: list[dict] = []
     for it in range(hyper.iters):
         t0 = time.perf_counter()
-        items = ce_batch(dataset, policy, rules, library, sched, rng, hyper.batch)
+        items = ce_batch(dataset, rules, library, sched, rng, hyper.batch)
         tape = Tape(policy.store)
         loss_node = ce_loss_node(tape, policy, items)
         grads = tape.backward(loss_node)

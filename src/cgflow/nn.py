@@ -6,10 +6,15 @@ row-wise dot, log-softmax, reductions) in execution order; the backward
 pass walks that order in reverse exactly once, accumulating gradients into
 the named parameter leaves.  Accumulation order is fixed, so identical
 seeds give bitwise-identical training runs.
+
+Each model writes its forward pass once against the op names shared by
+:class:`Tape` and :class:`Eval`: on a tape for training, on the
+forward-only evaluator for inference, with bitwise-equal results.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -386,17 +391,75 @@ class Tape:
         return param_grads
 
 
+class Eval:
+    """Forward-only twin of :class:`Tape`: a handle is the array itself.
+
+    It has only the ops the model forwards use, each with its Tape op's
+    arithmetic, so a forward written against the Tape op names gives
+    bitwise-equal values here without recording anything.
+    """
+
+    def __init__(self, store: ParamStore) -> None:
+        # param(name) is the store's own dict lookup: a forward reads a dozen
+        # parameters, and a Python-level wrapper per read is measurable
+        self.param = store._tensors.__getitem__
+
+    @staticmethod
+    def value(x: np.ndarray) -> np.ndarray:
+        return x
+
+    @staticmethod
+    def const(value) -> np.ndarray:
+        return np.asarray(value, dtype=np.float64)
+
+    @staticmethod
+    def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return x @ w + b
+
+    @staticmethod
+    def silu(x: np.ndarray) -> np.ndarray:
+        return x * (1.0 / (1.0 + np.exp(-x)))
+
+    @staticmethod
+    def mean_rows(x: np.ndarray) -> np.ndarray:
+        return x.mean(axis=0)
+
+    @staticmethod
+    def broadcast_rows(v: np.ndarray, n: int) -> np.ndarray:
+        return np.repeat(v[None, :], n, axis=0)
+
+    @staticmethod
+    def concat_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.concatenate([a, b], axis=1)
+
+    @staticmethod
+    def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a @ b
+
+    @staticmethod
+    def log_softmax(x: np.ndarray) -> np.ndarray:
+        shifted = x - x.max()
+        return shifted - np.log(np.exp(shifted).sum())
+
+
 # ---------------------------------------------------------------------------
 # MLP helper and gradient checker
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _layer_names(prefix: str, n_layers: int) -> tuple[tuple[str, str], ...]:
+    # cached: every forward reads these names, and formatting them per call
+    # costs a few percent of an inference forward
+    return tuple((f"{prefix}.{i}.w", f"{prefix}.{i}.b") for i in range(n_layers))
+
+
 def mlp_param_shapes(prefix: str, dims: Iterable[int]) -> dict[str, tuple[int, ...]]:
     dims = list(dims)
     shapes: dict[str, tuple[int, ...]] = {}
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        shapes[f"{prefix}.{i}.w"] = (fan_in, fan_out)
-        shapes[f"{prefix}.{i}.b"] = (fan_out,)
+    for (w, b), fan_in, fan_out in zip(_layer_names(prefix, len(dims) - 1), dims, dims[1:]):
+        shapes[w] = (fan_in, fan_out)
+        shapes[b] = (fan_out,)
     return shapes
 
 
@@ -410,23 +473,16 @@ def register_mlp(
             store.register(name, glorot_uniform(rng, shape))
 
 
-def mlp_apply(tape: Tape, prefix: str, x: int, n_layers: int) -> int:
-    """Affine-SiLU stack with a linear final layer, reading weights by prefix."""
-    h = x
-    for i in range(n_layers):
-        h = tape.affine(h, tape.param(f"{prefix}.{i}.w"), tape.param(f"{prefix}.{i}.b"))
-        if i < n_layers - 1:
-            h = tape.silu(h)
-    return h
+def mlp_apply(ops, prefix: str, x, n_layers: int):
+    """Affine-SiLU stack with a linear final layer, reading weights by prefix.
 
-
-def mlp_apply_np(store: ParamStore, prefix: str, x: np.ndarray, n_layers: int) -> np.ndarray:
-    """Tape-free forward pass; mirrors :func:`mlp_apply` arithmetic exactly."""
+    ``ops`` is a :class:`Tape` or an :class:`Eval`; ``x`` is one of its handles.
+    """
     h = x
-    for i in range(n_layers):
-        h = h @ store.get(f"{prefix}.{i}.w") + store.get(f"{prefix}.{i}.b")
-        if i < n_layers - 1:
-            h = h * (1.0 / (1.0 + np.exp(-h)))
+    for i, (w, b) in enumerate(_layer_names(prefix, n_layers)):
+        if i:
+            h = ops.silu(h)
+        h = ops.affine(h, ops.param(w), ops.param(b))
     return h
 
 

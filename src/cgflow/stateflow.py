@@ -30,7 +30,7 @@ from .compstate import (
     decompose,
     replay_actions,
 )
-from .nn import NumericalError, ParamStore, Tape, adam_step, register_mlp
+from .nn import Eval, NumericalError, ParamStore, Tape, adam_step, mlp_apply, register_mlp
 from .schedule import Schedule, kappa, t_end_step, t_local_from_steps
 from .seeding import rng_from
 
@@ -111,35 +111,16 @@ class StateFlowModel:
         register_mlp(store, "sf.head", [2 * HIDDEN, HIDDEN, 2], rng)
         return cls(store=store, sched=sched, library=library)
 
-    def forward_tape(self, tape: Tape, feats: np.ndarray) -> int:
-        x = tape.const(feats)
-        h = tape.silu(tape.affine(x, tape.param("sf.enc.0.w"), tape.param("sf.enc.0.b")))
-        h = tape.silu(tape.affine(h, tape.param("sf.enc.1.w"), tape.param("sf.enc.1.b")))
-        ctx = tape.mean_rows(h)
-        hc = tape.concat_cols(h, tape.broadcast_rows(ctx, feats.shape[0]))
-        g = tape.silu(tape.affine(hc, tape.param("sf.head.0.w"), tape.param("sf.head.0.b")))
-        return tape.affine(g, tape.param("sf.head.1.w"), tape.param("sf.head.1.b"))
-
-    def forward_features(self, feats: np.ndarray) -> np.ndarray:
-        s = self.store
-
-        def dense(v, prefix):
-            return v @ s.get(f"{prefix}.w") + s.get(f"{prefix}.b")
-
-        def silu(v):
-            return v * (1.0 / (1.0 + np.exp(-v)))
-
-        h = silu(dense(feats, "sf.enc.0"))
-        h = silu(dense(h, "sf.enc.1"))
-        ctx = h.mean(axis=0)
-        hc = np.concatenate([h, np.repeat(ctx[None, :], feats.shape[0], axis=0)], axis=1)
-        g = silu(dense(hc, "sf.head.0"))
-        return dense(g, "sf.head.1")
+    def forward(self, ops, feats: np.ndarray):
+        """Per-point clean-state estimates; ``ops`` is a Tape or an Eval."""
+        h = ops.silu(mlp_apply(ops, "sf.enc", ops.const(feats), 2))
+        hc = ops.concat_cols(h, ops.broadcast_rows(ops.mean_rows(h), feats.shape[0]))
+        return mlp_apply(ops, "sf.head", hc, 2)
 
     def predict(self, x: ComposedObject, t_step: int) -> list[np.ndarray]:
         """Clean-state estimates per component (tape-free)."""
         feats, slices = featurize_points(x, t_step, self.sched, self.library)
-        out = self.forward_features(feats)
+        out = self.forward(Eval(self.store), feats)
         return [out[o : o + m] for o, m in slices]
 
 
@@ -212,7 +193,7 @@ def state_loss(model: StateFlowModel, tape: Tape, batch: list[NoisySample]) -> i
         if not sample.targets:
             continue
         feats, _ = featurize_points(sample.x_t, sample.t_step, model.sched, model.library)
-        pred = model.forward_tape(tape, feats)
+        pred = model.forward(tape, feats)
         target = tape.const(np.concatenate(sample.targets, axis=0))
         diff = tape.sub(pred, target)
         sq = tape.sum_all(tape.mul(diff, diff))

@@ -212,7 +212,7 @@ def test_05_gradient_correctness(library, sched, rules, reward_params, report):
         return tb_loss_node(tape, sampled)
 
     errs["tb"] = finite_difference_check(build_tb, policy.store, rng_from(2), n_coords=64)
-    items = ce_batch(data, policy, rules, library, sched, rng_from(3), 4)
+    items = ce_batch(data, rules, library, sched, rng_from(3), 4)
     errs["ce"] = finite_difference_check(
         lambda tape: ce_loss_node(tape, policy, items), policy.store, rng_from(4), n_coords=64
     )
@@ -253,7 +253,7 @@ def test_08_cross_entropy_alternative(library, sched, rules, report):
     data = generate_dataset(1_000, GS, library, rules, sched)
     hyper = PolicyHyper(batch=64, iters=2000, lr=1e-3, objective="ce")
     policy, _ = train_policy_ce(data, sched, rules, library, hyper, run_seed=GS)
-    items = ce_batch(data, policy, rules, library, sched, rng_from(GS, "ce-eval"), 512)
+    items = ce_batch(data, rules, library, sched, rng_from(GS, "ce-eval"), 512)
     tape = Tape(policy.store)
     nll = float(tape.value(ce_loss_node(tape, policy, items)))
     baseline = uniform_ce_baseline(items)

@@ -12,11 +12,17 @@ from cgflow.cli import (
     EXIT_MISSING_FILE,
     ArtifactError,
     RunConfig,
-    default_config_dict,
     load_config,
     main,
     read_jsonl,
 )
+
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+
+
+def default_config_dict() -> dict:
+    return json.loads(DEFAULT_CONFIG.read_text(encoding="utf-8"))
 
 
 @pytest.fixture()
@@ -166,6 +172,31 @@ class TestCorruptArtifacts:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 3])
         assert run(["oracle", "--config", tiny_config]) == EXIT_INVARIANT
+
+    def test_dataset_row_missing_fields_is_invariant_error(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "dataset.jsonl").write_text('{"record": "meta"}\n{"a": 1}\n')
+        assert run(["train-stateflow", "--config", tiny_config]) == EXIT_INVARIANT
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "invalid-artifact"
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            '{"record": "meta"}\n{"record": "summary", "log_z_exact": 0.0}\n',
+            '{"record": "meta"}\n{"key": "F:b2a", "p_target": 1.0}\n',
+        ],
+        ids=["no-sequence-rows", "no-summary"],
+    )
+    def test_malformed_oracle_table_is_invariant_error(self, tiny_config, tmp_path, capsys, table):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "samples.jsonl").write_text('{"record": "meta"}\n')
+        (out / "oracle.jsonl").write_text(table)
+        assert run(["evaluate", "--config", tiny_config]) == EXIT_INVARIANT
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "invalid-artifact"
 
     @pytest.mark.parametrize(
         "content",

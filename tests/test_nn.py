@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cgflow.nn import (
+    Eval,
     NNError,
     NumericalError,
     ParamStore,
@@ -13,7 +14,6 @@ from cgflow.nn import (
     finite_difference_check,
     glorot_uniform,
     mlp_apply,
-    mlp_apply_np,
     register_mlp,
 )
 from cgflow.seeding import rng_from
@@ -24,6 +24,58 @@ def make_store(rng, shapes):
     for name, shape in shapes.items():
         store.register(name, rng.normal(size=shape))
     return store
+
+
+def mlp_reference(store, prefix, x, n_layers):
+    """Straight-line numpy MLP: affine-SiLU layers, linear final layer."""
+    h = x
+    for i in range(n_layers):
+        h = h @ store.get(f"{prefix}.{i}.w") + store.get(f"{prefix}.{i}.b")
+        if i < n_layers - 1:
+            h = h * (1.0 / (1.0 + np.exp(-h)))
+    return h
+
+
+# every op a model forward runs on an Eval, with its input shapes
+EVAL_OPS = [
+    pytest.param("affine", [(6, 5), (5, 4), (4,)], id="affine"),
+    pytest.param("affine", [(5,), (5, 4), (4,)], id="affine-vector"),
+    pytest.param("silu", [(6, 5)], id="silu"),
+    pytest.param("mean_rows", [(6, 5)], id="mean_rows"),
+    pytest.param("broadcast_rows", [(5,), 6], id="broadcast_rows"),
+    pytest.param("concat_cols", [(6, 5), (6, 3)], id="concat_cols"),
+    pytest.param("rowdot", [(6, 5), (5,)], id="rowdot"),
+    pytest.param("log_softmax", [(7,)], id="log_softmax"),
+]
+
+
+class TestEval:
+    @pytest.mark.parametrize("op, shapes", EVAL_OPS)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_op_matches_tape_bitwise(self, op, shapes, seed):
+        rng = rng_from(seed, op)
+        tape = Tape()
+        tape_args, eval_args = [], []
+        for shape in shapes:
+            if isinstance(shape, int):  # a plain count, e.g. broadcast_rows' n
+                tape_args.append(shape)
+                eval_args.append(shape)
+                continue
+            # wide inputs reach the saturated tails of silu and log_softmax
+            value = rng.normal(scale=4.0, size=shape)
+            tape_args.append(tape.const(value))
+            eval_args.append(Eval.const(value))
+        want = tape.value(getattr(tape, op)(*tape_args))
+        got = getattr(Eval(ParamStore()), op)(*eval_args)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_param_and_value_are_the_arrays(self, rng):
+        store = make_store(rng, {"w": (3, 2)})
+        ops = Eval(store)
+        assert ops.param("w") is store.get("w")
+        x = ops.const(rng.normal(size=3))
+        assert ops.value(x) is x
 
 
 class TestTapeOps:
@@ -47,11 +99,13 @@ class TestTapeOps:
     def test_tape_forward_matches_straight_line(self, rng):
         store = ParamStore()
         register_mlp(store, "m", [5, 7, 3], rng_from(4))
-        x = rng.normal(size=(6, 5))
-        tape = Tape(store)
-        node = mlp_apply(tape, "m", tape.const(x), n_layers=2)
-        plain = mlp_apply_np(store, "m", x, n_layers=2)
-        assert np.array_equal(tape.value(node), plain)
+        for shape in [(6, 5), (5,)]:
+            x = rng.normal(size=shape)
+            tape = Tape(store)
+            node = mlp_apply(tape, "m", tape.const(x), n_layers=2)
+            plain = mlp_reference(store, "m", x, n_layers=2)
+            assert np.array_equal(tape.value(node), plain)
+            assert np.array_equal(mlp_apply(Eval(store), "m", x, n_layers=2), plain)
 
     def test_linear_regression_gradient_closed_form(self, rng):
         # loss = 0.5 * ||x W - y||^2  ->  dW = x^T (x W - y)

@@ -11,6 +11,7 @@ from cgflow.compstate import (
 )
 from cgflow.domain import RuleSet, validate_library
 from cgflow.gflownet import PolicyModel, sample_trajectory
+from cgflow.nn import ParamStore
 from cgflow.oracle import (
     OracleError,
     enumerate_sequences,
@@ -178,13 +179,14 @@ class TabularPolicy:
 
     def __init__(self, conditionals):
         self.conditionals = conditionals  # prefix key -> {action: prob}
+        self.store = ParamStore()  # no parameters: logits come from the table
 
-    def logits_np(self, x, t_step, actions):
+    def logits(self, ops, x, t_step, actions):
         from cgflow.compstate import action_key, recorded_actions
 
         prefix = ";".join(action_key(a) for a in recorded_actions(x))
         probs = self.conditionals[prefix]
-        return np.log(np.array([probs[a] for a in actions]))
+        return ops.const(np.log(np.array([probs[a] for a in actions])))
 
 
 class TestTBFixedPoint:

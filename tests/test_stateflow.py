@@ -34,6 +34,22 @@ from cgflow.stateflow import (
 )
 
 
+def reference_forward(store, feats):
+    """Straight-line numpy state-flow forward pass."""
+
+    def dense(v, prefix):
+        return v @ store.get(f"{prefix}.w") + store.get(f"{prefix}.b")
+
+    def silu(v):
+        return v * (1.0 / (1.0 + np.exp(-v)))
+
+    h = silu(dense(feats, "sf.enc.0"))
+    h = silu(dense(h, "sf.enc.1"))
+    ctx = h.mean(axis=0)
+    hc = np.concatenate([h, np.repeat(ctx[None, :], feats.shape[0], axis=0)], axis=1)
+    return dense(silu(dense(hc, "sf.head.0")), "sf.head.1")
+
+
 class OraclePredictor:
     """Returns the true target coordinates regardless of the input state."""
 
@@ -102,15 +118,15 @@ class TestInterpolate:
 
 
 class ConstantOutputModel:
-    """state_loss test double: forward_tape emits fixed per-point values."""
+    """state_loss test double: forward emits fixed per-point values."""
 
     def __init__(self, values, sched, library):
         self.values = np.concatenate(list(values), axis=0)
         self.sched = sched
         self.library = library
 
-    def forward_tape(self, tape, feats):
-        return tape.const(self.values[: feats.shape[0]])
+    def forward(self, ops, feats):
+        return ops.const(self.values[: feats.shape[0]])
 
 
 class TestStateLoss:
@@ -375,10 +391,13 @@ class TestFeaturize:
     def test_taped_forward_matches_numpy(self, library, sched, three_chain, rng):
         x, _, _ = three_chain
         model = StateFlowModel.create(sched, library, seed=4)
-        feats, _ = featurize_points(x, 7, sched, library)
+        feats, slices = featurize_points(x, 7, sched, library)
+        want = reference_forward(model.store, feats)
         tape = Tape(model.store)
-        node = model.forward_tape(tape, feats)
-        assert np.array_equal(tape.value(node), model.forward_features(feats))
+        assert np.array_equal(tape.value(model.forward(tape, feats)), want)
+        got = model.predict(x, 7)
+        assert [p.shape[0] for p in got] == [m for _, m in slices]
+        assert np.array_equal(np.concatenate(got, axis=0), want)
 
 
 class TestTrainStateflow:

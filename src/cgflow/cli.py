@@ -345,7 +345,12 @@ def cmd_sample(config: RunConfig, n: int) -> None:
     library = config.load_library()
     state_model = _load_stateflow(config, library)
     policy = _load_policy(config, library)
+    # the state flow and the policy are both frozen for the whole call, so
+    # one rollout cache, one prefix-node memo and one policy table serve
+    # every trajectory
     rollout_cache: dict = {}
+    node_memo: dict = {}
+    policy_table: dict = {}
     rows = [
         sample_trajectory(
             policy,
@@ -358,6 +363,8 @@ def cmd_sample(config: RunConfig, n: int) -> None:
             traj_seed=mix64(config.seed, "sample", j),
             eps_random=0.0,
             rollout_cache=rollout_cache,
+            node_memo=node_memo,
+            policy_table=policy_table,
         ).trajectory.to_dict()
         for j in range(n)
     ]
@@ -412,20 +419,25 @@ def cmd_evaluate(config: RunConfig, samples_path: Path, table_path: Path) -> dic
     seq_rows = [r for r in table_rows if r.get("record") != "summary"]
     if not seq_rows:
         raise ArtifactError(f"{table_path}: oracle table has no sequence rows")
-    keys = [r["key"] for r in seq_rows]
-    target = np.array([r["p_target"] for r in seq_rows])
+    try:
+        keys = [r["key"] for r in seq_rows]
+        target = np.array([r["p_target"] for r in seq_rows])
+    except KeyError as exc:
+        raise ArtifactError(f"{table_path}: sequence row without field {exc}") from None
 
     counts = dict.fromkeys(keys, 0)
     rewards = []
     lengths = []
     for row in sample_rows:
-        key = ";".join(
-            _action_row_key(a["action"]) for a in row["actions"]
-        )
+        try:
+            key = ";".join(_action_row_key(a["action"]) for a in row["actions"])
+            reward = row["reward"]
+        except KeyError as exc:
+            raise ArtifactError(f"{samples_path}: sample row without field {exc}") from None
         if key not in counts:
             raise OracleMismatch(f"sampled sequence {key} missing from oracle table")
         counts[key] += 1
-        rewards.append(row["reward"])
+        rewards.append(reward)
         lengths.append(len(row["actions"]))
     empirical = np.array([counts[k] for k in keys], dtype=np.float64)
     empirical /= max(1, len(sample_rows))

@@ -156,6 +156,22 @@ class SampledTrajectory:
     log_reward: float
 
 
+@dataclass
+class PrefixNode:
+    """What a frozen state flow fixes at one action prefix.
+
+    ``child`` is the object right after the prefix's last transition, before
+    its segment is integrated; its arrays are read-only because trajectories
+    share it.  ``actions`` (the legal list at the next decision state) and,
+    at a leaf, ``log_reward`` are filled the first time a trajectory gets
+    there.
+    """
+
+    child: ComposedObject
+    actions: list[ActionRef] | None = None
+    log_reward: float | None = None
+
+
 def next_decision_step(x: ComposedObject, rules: RuleSet, sched: Schedule) -> int:
     """Grid step of the next compositional action on ``x``, else ``n_steps``.
 
@@ -184,6 +200,8 @@ def sample_trajectory(
     tape: Tape | None = None,
     forced_actions: list[ActionRef] | None = None,
     rollout_cache: dict | None = None,
+    node_memo: dict | None = None,
+    policy_table: dict | None = None,
 ) -> SampledTrajectory:
     """Roll one trajectory over the step grid.
 
@@ -195,9 +213,21 @@ def sample_trajectory(
     instead of sampled, which is how the oracle and the evaluator
     reconstruct trajectories.  ``rollout_cache`` is handed to
     :func:`euler_rollout`; it must belong to this ``state_model``.
+
+    ``node_memo`` and ``policy_table`` are caller-owned dicts keyed on the
+    tuple of chosen action indices so far.  ``node_memo`` maps a prefix to
+    its :class:`PrefixNode`; it is valid for one frozen ``state_model``,
+    ``global_seed``, ``rules``, ``library`` and ``sched``.  ``policy_table``
+    maps a prefix to this function's ``policy_distribution`` output; it is
+    valid only while the policy parameters and ``tape`` stay fixed.  Either
+    left out, a fresh dict serves this one trajectory.
     """
+    memo = {} if node_memo is None else node_memo
+    table = {} if policy_table is None else policy_table
     rng = rng_from(traj_seed, "trajectory")
-    x = EMPTY_OBJECT
+    prefix: tuple[int, ...] = ()
+    node = memo.setdefault(prefix, PrefixNode(EMPTY_OBJECT))
+    x = node.child
     step = 0
     steps: list[TrajectoryStep] = []
     nodes: list[tuple[int, int]] = []
@@ -208,8 +238,13 @@ def sample_trajectory(
             step = stop
         if step == sched.n_steps:
             break
-        actions = action_space(x, rules, library)
-        probs, logp, logp_node = policy_distribution(policy, x, step, actions, tape=tape)
+        if node.actions is None:
+            node.actions = action_space(x, rules, library)
+        actions = node.actions
+        out = table.get(prefix)
+        if out is None:
+            out = table[prefix] = policy_distribution(policy, x, step, actions, tape=tape)
+        probs, logp, logp_node = out
         if forced_actions is not None:
             idx = actions.index(forced_actions[len(steps)])
         elif eps_random > 0 and rng.random() < eps_random:
@@ -219,10 +254,19 @@ def sample_trajectory(
         steps.append(TrajectoryStep(step_index=step, action=actions[idx], log_prob=float(logp[idx])))
         if tape is not None:
             nodes.append((logp_node, idx))
-        x = transition(x, actions[idx], library, sched, global_seed, p_max=rules.p_max)
+        prefix += (idx,)
+        node = memo.get(prefix)
+        if node is None:
+            child = transition(x, actions[idx], library, sched, global_seed, p_max=rules.p_max)
+            for arr in child.states + child.self_cond:
+                arr.flags.writeable = False
+            node = memo[prefix] = PrefixNode(child)
+        x = node.child
     if not x.is_terminal:
         raise PolicyError("trajectory ended on a non-terminal object")
-    log_r = log_reward(x, reward_params, library)
+    if node.log_reward is None:
+        node.log_reward = log_reward(x, reward_params, library)
+    log_r = node.log_reward
     traj = Trajectory(
         actions=tuple(steps),
         terminal_object=x,
@@ -343,17 +387,22 @@ def train_policy_tb(
 ) -> tuple[PolicyModel, list[dict]]:
     """On-policy trajectory-balance training against a frozen state flow.
 
-    The state flow stays frozen for the whole run, so one rollout cache
-    serves every trajectory of every iteration.
+    The state flow stays frozen for the whole run, so one rollout cache and
+    one prefix-node memo serve every trajectory of every iteration.  The
+    parameters are fixed within an iteration, so each iteration's policy
+    table lives with its tape: every distinct decision state gets one taped
+    forward, and each trajectory picks from that node.
     """
     if policy is None:
         policy = PolicyModel.create(sched, library, seed=run_seed)
     lr_map = {"log_Z": hyper.lr_log_z}
     rollout_cache: dict = {}
+    node_memo: dict = {}
     metrics: list[dict] = []
     for it in range(hyper.iters):
         t0 = time.perf_counter()
         tape = Tape(policy.store)
+        policy_table: dict = {}
         loss_total = None
         rewards = []
         lengths = []
@@ -370,6 +419,8 @@ def train_policy_tb(
                 eps_random=hyper.eps_random,
                 tape=tape,
                 rollout_cache=rollout_cache,
+                node_memo=node_memo,
+                policy_table=policy_table,
             )
             node = tb_loss_node(tape, sampled)
             loss_total = node if loss_total is None else tape.add(loss_total, node)

@@ -9,6 +9,7 @@ independent breadth-first symbolic pass, and the two must agree.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +69,10 @@ def _enumerate_bfs_keys(
     rules: RuleSet, sched: Schedule, library: SynthonLibrary, cap: int
 ) -> set[str]:
     """Symbolic enumeration of action sequences (states never integrated)."""
-    queue: list[tuple[ComposedObject, tuple[str, ...]]] = [(EMPTY_OBJECT, ())]
+    queue: deque[tuple[ComposedObject, tuple[str, ...]]] = deque([(EMPTY_OBJECT, ())])
     done: set[str] = set()
     while queue:
-        x, keys = queue.pop(0)
+        x, keys = queue.popleft()
         if x.is_terminal:
             done.add(";".join(keys))
             if len(done) > cap:
@@ -166,14 +167,23 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def sequence_log_probs(policy: PolicyModel, table: SequenceTable) -> np.ndarray:
-    """Exact per-sequence log-likelihood under the policy via stored snapshots."""
+    """Exact per-sequence log-likelihood under the policy via stored snapshots.
+
+    Records share their prefixes, so each distinct decision state is scored
+    once, keyed on the indices of the actions that lead to it.
+    """
+    scored: dict[tuple[int, ...], np.ndarray] = {}
     out = np.zeros(len(table.records))
     for i, rec in enumerate(table.records):
         total = 0.0
-        for x, step, space, idx in zip(
+        for depth, (x, step, space, idx) in enumerate(zip(
             rec.decision_states, rec.decision_steps, rec.decision_spaces, rec.decision_indices
-        ):
-            _, logp, _ = policy_distribution(policy, x, step, list(space))
+        )):
+            prefix = rec.decision_indices[:depth]
+            logp = scored.get(prefix)
+            if logp is None:
+                _, logp, _ = policy_distribution(policy, x, step, list(space))
+                scored[prefix] = logp
             total += float(logp[idx])
         out[i] = total
     return out

@@ -199,6 +199,27 @@ class TestCorruptArtifacts:
         assert record["error"]["kind"] == "invalid-artifact"
 
     @pytest.mark.parametrize(
+        "samples, table",
+        [
+            ('{"reward": 1.0}', '{"key": "F(b2a)", "p_target": 1.0}'),
+            ('{"actions": [{"step_index": 0}], "reward": 1.0}', '{"key": "F(b2a)", "p_target": 1.0}'),
+            ('{"actions": [{"action": {"type": "first", "synthon_id": "b2a"}}]}', '{"key": "F(b2a)", "p_target": 1.0}'),
+            ("", '{"p_target": 1.0}'),
+            ("", '{"key": "F(b2a)"}'),
+        ],
+        ids=["sample-no-actions", "sample-no-action", "sample-no-reward", "table-no-key", "table-no-p_target"],
+    )
+    def test_evaluate_row_missing_fields_is_invariant_error(self, tiny_config, tmp_path, capsys, samples, table):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "samples.jsonl").write_text('{"record": "meta"}\n' + (samples + "\n" if samples else ""))
+        summary = '{"record": "summary", "log_z_exact": 0.0}'
+        (out / "oracle.jsonl").write_text(f'{{"record": "meta"}}\n{table}\n{summary}\n')
+        assert run(["evaluate", "--config", tiny_config]) == EXIT_INVARIANT
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "invalid-artifact"
+
+    @pytest.mark.parametrize(
         "content",
         [b'{"record": "meta"}\n{"a": 1}', b'{"a": 1}\n[1, 2]\n', b'{"a": 1}\n\xff\xfe\n'],
         ids=["no-final-newline", "not-an-object", "not-utf8"],

@@ -9,6 +9,7 @@ from cgflow.gflownet import (
     DataPipelineError,
     PolicyHyper,
     PolicyModel,
+    PrefixNode,
     SampledTrajectory,
     action_features,
     ce_batch,
@@ -22,7 +23,7 @@ from cgflow.gflownet import (
     train_policy_tb,
     uniform_ce_baseline,
 )
-from cgflow.nn import Tape, finite_difference_check
+from cgflow.nn import Tape, adam_step, finite_difference_check
 from cgflow.schedule import Schedule, action_steps
 from cgflow.seeding import mix64, rng_from
 from cgflow.stateflow import HIDDEN, StateFlowModel, euler_rollout, featurize_points
@@ -230,6 +231,151 @@ class TestRolloutReuse:
         )
         assert done.is_terminal
         assert next_decision_step(done, rules, sched) == sched.n_steps
+
+
+def assert_close_at_scale(got: dict, want: dict, rtol: float) -> None:
+    """Entrywise rtol, with an absolute floor of rtol times the largest entry.
+
+    Reordered sums round differently, and an entry that is mostly
+    cancellation, or all of it (``pol.act.1.b`` shifts every logit equally,
+    so its gradient is zero up to rounding), has no relative precision.
+    """
+    assert got.keys() == want.keys()
+    scale = max(float(np.abs(v).max()) for v in want.values())
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=rtol, atol=rtol * scale, err_msg=name)
+
+
+def tb_batch(policy, state_model, sched, rules, library, reward_params, tape, seeds, memo=None):
+    """Mean TB loss node over one batch; with ``memo``, one policy table per tape."""
+    table = None if memo is None else {}
+    total = None
+    for j in seeds:
+        sampled = sample_trajectory(
+            policy, state_model, sched, rules, library, reward_params,
+            global_seed=9, traj_seed=j, eps_random=0.2, tape=tape,
+            node_memo=memo, policy_table=table,
+        )
+        node = tb_loss_node(tape, sampled)
+        total = node if total is None else tape.add(total, node)
+    return tape.scale(total, 1.0 / len(seeds)), table
+
+
+class TestPrefixMemo:
+    def test_memo_gives_identical_trajectories(self, models, library, sched, rules, reward_params):
+        policy, state_model = models
+        memo: dict = {}
+        table: dict = {}
+        cache: dict = {}
+
+        def draw(traj_seed, forced=None, **memo_args):
+            return sample_trajectory(
+                policy, state_model, sched, rules, library, reward_params,
+                global_seed=9, traj_seed=traj_seed, eps_random=0.3,
+                forced_actions=forced, **memo_args,
+            )
+
+        def same(a, b):
+            ta, tb = a.trajectory, b.trajectory
+            assert ta.sequence_key() == tb.sequence_key()
+            assert [s.step_index for s in ta.actions] == [s.step_index for s in tb.actions]
+            assert [s.log_prob for s in ta.actions] == [s.log_prob for s in tb.actions]
+            assert a.log_reward == b.log_reward
+            assert ta.reward == tb.reward
+            assert len(ta.terminal_object.states) == len(tb.terminal_object.states)
+            for sa, sb in zip(ta.terminal_object.states, tb.terminal_object.states):
+                assert sa.tobytes() == sb.tobytes()
+
+        for j in range(32):
+            plain = draw(j)
+            same(plain, draw(j, node_memo=memo, policy_table=table, rollout_cache=cache))
+            # a forced replay under another seed reads the same memo entries
+            forced = [s.action for s in plain.trajectory.actions]
+            same(plain, draw(1000 + j, forced, node_memo=memo, policy_table=table))
+        # one entry per distinct prefix: far fewer than the decisions made
+        assert 0 < len(table) < len(memo) < 32 * (rules.max_len + 1)
+
+    def test_memo_arrays_are_read_only(self, models, library, sched, rules, reward_params):
+        policy, state_model = models
+        memo: dict = {}
+        for j in range(12):
+            out = sample_trajectory(
+                policy, state_model, sched, rules, library, reward_params,
+                global_seed=9, traj_seed=j, node_memo=memo,
+            )
+        assert out.trajectory.terminal_object.is_terminal
+        assert all(isinstance(node, PrefixNode) for node in memo.values())
+        arrays = [a for node in memo.values() for a in node.child.states + node.child.self_cond]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            memo[(0,)].child.states[0][0, 0] = 1.0
+
+    def test_tb_batch_loss_and_gradients_match(self, models, library, sched, rules, reward_params):
+        policy, state_model = models
+        seeds = range(48)
+        plain_tape = Tape(policy.store)
+        plain_loss, _ = tb_batch(policy, state_model, sched, rules, library, reward_params, plain_tape, seeds)
+        memo_tape = Tape(policy.store)
+        memo_loss, table = tb_batch(
+            policy, state_model, sched, rules, library, reward_params, memo_tape, seeds, memo={}
+        )
+        # one taped forward per distinct decision state, not per decision
+        assert len(table) < 48
+        assert len(memo_tape) < len(plain_tape)
+        assert memo_tape.value(memo_loss).tobytes() == plain_tape.value(plain_loss).tobytes()
+        assert_close_at_scale(memo_tape.backward(memo_loss), plain_tape.backward(plain_loss), rtol=1e-12)
+
+    def test_memoised_batch_gradient_matches_finite_differences(
+        self, models, library, sched, rules, reward_params
+    ):
+        _, state_model = models
+        policy = PolicyModel.create(sched, library, seed=31)
+        memo: dict = {}
+        tables = []
+
+        def build(tape: Tape) -> int:
+            loss, table = tb_batch(
+                policy, state_model, sched, rules, library, reward_params, tape, range(8), memo=memo
+            )
+            tables.append(table)
+            return loss
+
+        err = finite_difference_check(build, policy.store, rng_from(15), n_coords=48)
+        assert err < 1e-4
+        # 8 trajectories make at least 8 * min_len decisions; fewer taped
+        # nodes means several trajectories picked from the same one
+        assert len(tables[0]) < 8 * rules.min_len
+
+    def test_tb_trainer_matches_unmemoised_reference(self, models, library, sched, rules, reward_params):
+        _, state_model = models
+        hyper = PolicyHyper(batch=8, iters=3, lr=1e-3, lr_log_z=1e-1)
+        trained, metrics = train_policy_tb(
+            state_model, sched, rules, library, reward_params, hyper, run_seed=5
+        )
+        # the trainer's loop without any memo, cache or policy table
+        reference = PolicyModel.create(sched, library, seed=5)
+        losses = []
+        for it in range(hyper.iters):
+            tape = Tape(reference.store)
+            total = None
+            for b in range(hyper.batch):
+                sampled = sample_trajectory(
+                    reference, state_model, sched, rules, library, reward_params,
+                    global_seed=5, traj_seed=rng_from(5, "tb-traj", it, b).integers(1 << 62),
+                    eps_random=hyper.eps_random, tape=tape,
+                )
+                node = tb_loss_node(tape, sampled)
+                total = node if total is None else tape.add(total, node)
+            loss = tape.scale(total, 1.0 / hyper.batch)
+            adam_step(reference.store, tape.backward(loss), lr=hyper.lr, lr_overrides={"log_Z": hyper.lr_log_z})
+            losses.append(float(tape.value(loss)))
+        # a policy table that outlived its tape would pick stale nodes from
+        # the second iteration on
+        np.testing.assert_allclose([m["tb_loss"] for m in metrics], losses, rtol=1e-9)
+        names = reference.store.names()
+        assert_close_at_scale(
+            {n: trained.store.get(n) for n in names}, {n: reference.store.get(n) for n in names}, rtol=1e-9
+        )
 
 
 class TestTBLoss:

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from cgflow.compstate import (
+    EMPTY_OBJECT,
     AttachmentPoint,
     Synthon,
     SynthonLibrary,
     replay_actions,
 )
-from cgflow.domain import RuleSet, validate_library
-from cgflow.gflownet import PolicyModel, sample_trajectory
+from cgflow.compstate import action_key, transition
+from cgflow.domain import RuleSet, action_space, validate_library
+from cgflow.gflownet import PolicyModel, policy_distribution, sample_trajectory
 from cgflow.nn import ParamStore
 from cgflow.oracle import (
     OracleError,
+    _enumerate_bfs_keys,
     enumerate_sequences,
     length_distribution,
     model_distribution,
@@ -164,6 +167,34 @@ class TestModelDistribution:
         _, policy, table = frozen
         lp = sequence_log_probs(policy, table)
         assert np.allclose(np.exp(lp), model_distribution(policy, table), atol=1e-15)
+
+    def test_sequence_log_probs_scores_each_record_exactly(self, frozen):
+        # reference: one forward per decision of every record, no sharing
+        _, policy, table = frozen
+        want = []
+        for rec in table.records:
+            total = 0.0
+            for x, step, space, idx in zip(
+                rec.decision_states, rec.decision_steps, rec.decision_spaces, rec.decision_indices
+            ):
+                total += float(policy_distribution(policy, x, step, list(space))[1][idx])
+            want.append(total)
+        assert sequence_log_probs(policy, table).tobytes() == np.array(want).tobytes()
+
+    def test_bfs_keys_match_recursive_walk(self, library, sched, rules):
+        def walk(x, keys):
+            if x.is_terminal:
+                yield ";".join(keys)
+                return
+            for a in action_space(x, rules, library):
+                child = transition(x, a, library, sched, global_seed=0, p_max=rules.p_max)
+                yield from walk(child, keys + (action_key(a),))
+
+        want = list(walk(EMPTY_OBJECT, ()))
+        assert len(want) == len(set(want)) == 24
+        assert _enumerate_bfs_keys(rules, sched, library, cap=100) == set(want)
+        with pytest.raises(OracleError):
+            _enumerate_bfs_keys(rules, sched, library, cap=23)
 
 
 class TestLengthDistribution:

@@ -16,18 +16,21 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import nn, oracle
+from . import oracle
 from .compstate import (
     ComposedObject,
     CompositionError,
     SynthonLibrary,
+    action_from_dict,
     default_library_bytes,
     library_from_dict,
+    sequence_key,
 )
 from .domain import (
     LibraryValidationError,
@@ -72,6 +75,63 @@ class ArtifactError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# the one section field whose config key differs from its name
+_KEY_OF_FIELD = {"lam": "lambda"}
+_ANCHORS = tuple[tuple[float, float], ...]
+
+
+def _fields(kind: type) -> dict[str, str]:
+    """Config key -> dataclass field name, for the fields a config sets."""
+    return {_KEY_OF_FIELD.get(f.name, f.name): f.name for f in dataclasses.fields(kind) if f.init}
+
+
+def _object(doc, keys, where: str) -> dict:
+    """``doc`` as a JSON object holding exactly ``keys``."""
+    if type(doc) is not dict:
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
+    for problem, names in (("missing", set(keys) - doc.keys()), ("unknown", doc.keys() - set(keys))):
+        if names:
+            raise ConfigError(f"{problem} config field: {where}.{min(names)}")
+    return doc
+
+
+def _value(value, kind, where: str):
+    """Check one config value against its field type: int, float, str or
+    anchors.  A float field takes a JSON int within float range; no field
+    takes a bool."""
+    if kind == _ANCHORS:
+        if type(value) is not list or any(type(p) is not list or len(p) != 2 for p in value):
+            raise ConfigError(f"{where} must be a list of [x, y] pairs, got {value!r}")
+        return tuple((_value(p[0], float, where), _value(p[1], float, where)) for p in value)
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _sections() -> dict[str, type]:
+    """The config's sections: the ``RunConfig`` fields that are dataclasses."""
+    hints = typing.get_type_hints(RunConfig)
+    return {name: kind for name, kind in hints.items() if dataclasses.is_dataclass(kind)}
+
+
+def _section(kind: type, doc, name: str):
+    keys = _fields(kind)
+    _object(doc, keys, name)
+    hints = typing.get_type_hints(kind)
+    values = {field: _value(doc[key], hints[field], f"{name}.{key}") for key, field in keys.items()}
+    try:
+        return kind(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _section_dict(section) -> dict:
+    values = {key: getattr(section, field) for key, field in _fields(type(section)).items()}
+    return {key: [list(p) for p in v] if isinstance(v, tuple) else v for key, v in values.items()}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int
@@ -86,90 +146,33 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Path) -> "RunConfig":
-        try:
-            sched = Schedule(
-                lam=float(doc["schedule"]["lambda"]),
-                t_window=float(doc["schedule"]["t_window"]),
-                n_steps=int(doc["schedule"]["n_steps"]),
-                max_components=int(doc["schedule"]["max_components"]),
-                integrator_mode=str(doc["schedule"]["integrator_mode"]),
-            )
-            rules = RuleSet(
-                p_max=int(doc["rules"]["p_max"]),
-                min_len=int(doc["rules"]["min_len"]),
-                max_len=int(doc["rules"]["max_len"]),
-            )
-            reward = RewardParams(
-                anchors=tuple((float(a[0]), float(a[1])) for a in doc["reward"]["anchors"]),
-                r_min=float(doc["reward"]["r_min"]),
-                temperature=float(doc["reward"]["temperature"]),
-                beta=float(doc["reward"]["beta"]),
-            )
-            sf = StateFlowHyper(
-                sigma=float(doc["stateflow"]["sigma"]),
-                sigma_data=float(doc["stateflow"]["sigma_data"]),
-                batch=int(doc["stateflow"]["batch"]),
-                iters=int(doc["stateflow"]["iters"]),
-                lr=float(doc["stateflow"]["lr"]),
-                self_cond_prob=float(doc["stateflow"]["self_cond_prob"]),
-            )
-            pol = PolicyHyper(
-                batch=int(doc["policy"]["batch"]),
-                iters=int(doc["policy"]["iters"]),
-                lr=float(doc["policy"]["lr"]),
-                lr_log_z=float(doc["policy"]["lr_log_z"]),
-                eps_random=float(doc["policy"]["eps_random"]),
-                objective=str(doc["policy"]["objective"]),
-            )
-            if pol.objective not in ("tb", "ce"):
-                raise ConfigError(f"policy.objective must be tb or ce, got {pol.objective!r}")
-            library_path = str(doc["library"])
-            out_dir = str(doc["paths"]["out_dir"])
-            if library_path != "default":
-                resolved = (base_dir / library_path).resolve()
-                if not resolved.exists():
-                    raise FileNotFoundError(f"library file not found: {resolved}")
-                library_path = str(resolved)
-            return cls(
-                seed=int(doc["seed"]),
-                schedule=sched,
-                library_path=library_path,
-                rules=rules,
-                reward=reward,
-                stateflow=sf,
-                policy=pol,
-                dataset_size=int(doc["dataset_size"]),
-                out_dir=str((base_dir / out_dir).resolve()),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config field: {exc}") from exc
+        """Parse a run-config document.  Every field is required; a missing,
+        unknown or mistyped field raises ``ConfigError``."""
+        sections = _sections()
+        _object(doc, ["seed", "library", "dataset_size", "paths", *sections], "config")
+        paths = _object(doc["paths"], ["out_dir"], "paths")
+        library_path = _value(doc["library"], str, "library")
+        out_dir = _value(paths["out_dir"], str, "paths.out_dir")
+        if library_path != "default":
+            resolved = (base_dir / library_path).resolve()
+            if not resolved.exists():
+                raise FileNotFoundError(f"library file not found: {resolved}")
+            library_path = str(resolved)
+        return cls(
+            seed=_value(doc["seed"], int, "seed"),
+            library_path=library_path,
+            dataset_size=_value(doc["dataset_size"], int, "dataset_size"),
+            out_dir=str((base_dir / out_dir).resolve()),
+            **{name: _section(kind, doc[name], name) for name, kind in sections.items()},
+        )
 
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "schedule": {
-                "lambda": self.schedule.lam,
-                "t_window": self.schedule.t_window,
-                "n_steps": self.schedule.n_steps,
-                "max_components": self.schedule.max_components,
-                "integrator_mode": self.schedule.integrator_mode,
-            },
             "library": self.library_path,
-            "rules": {
-                "p_max": self.rules.p_max,
-                "min_len": self.rules.min_len,
-                "max_len": self.rules.max_len,
-            },
-            "reward": {
-                "anchors": [list(a) for a in self.reward.anchors],
-                "r_min": self.reward.r_min,
-                "temperature": self.reward.temperature,
-                "beta": self.reward.beta,
-            },
-            "stateflow": dataclasses.asdict(self.stateflow),
-            "policy": dataclasses.asdict(self.policy),
             "dataset_size": self.dataset_size,
             "paths": {"out_dir": self.out_dir},
+            **{name: _section_dict(getattr(self, name)) for name in _sections()},
         }
 
     def library_bytes(self) -> bytes:
@@ -196,10 +199,10 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    config = RunConfig.from_dict(json.loads(path.read_text(encoding="utf-8")), base_dir=path.parent)
     if seed_override is not None:
-        doc["seed"] = int(seed_override)
-    return RunConfig.from_dict(doc, base_dir=path.parent)
+        config = dataclasses.replace(config, seed=seed_override)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +433,7 @@ def cmd_evaluate(config: RunConfig, samples_path: Path, table_path: Path) -> dic
     lengths = []
     for row in sample_rows:
         try:
-            key = ";".join(_action_row_key(a["action"]) for a in row["actions"])
+            key = sequence_key(action_from_dict(a["action"]) for a in row["actions"])
             reward = row["reward"]
         except KeyError as exc:
             raise ArtifactError(f"{samples_path}: sample row without field {exc}") from None
@@ -470,12 +473,6 @@ def cmd_evaluate(config: RunConfig, samples_path: Path, table_path: Path) -> dic
 
 class OracleMismatch(RuntimeError):
     pass
-
-
-def _action_row_key(action_doc: dict) -> str:
-    from .compstate import action_from_dict, action_key
-
-    return action_key(action_from_dict(action_doc))
 
 
 def cmd_gradcheck(config: RunConfig) -> dict:

@@ -11,11 +11,9 @@ process a deterministic function of the action sequence.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -166,17 +164,8 @@ def library_from_dict(doc: dict) -> SynthonLibrary:
     return SynthonLibrary(synthons=tuple(synthons), version=int(doc.get("version", 1)))
 
 
-def load_library(path: str | Path) -> SynthonLibrary:
-    with open(path, "r", encoding="utf-8") as fh:
-        return library_from_dict(json.load(fh))
-
-
 def default_library_bytes() -> bytes:
     return resources.files("cgflow.data").joinpath("default_library.json").read_bytes()
-
-
-def load_default_library() -> SynthonLibrary:
-    return library_from_dict(json.loads(default_library_bytes().decode("utf-8")))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +221,11 @@ def action_key(action: ActionRef) -> str:
         f"A({action.parent_component}.{action.parent_attachment}"
         f">{action.synthon_id}.{action.child_attachment})"
     )
+
+
+def sequence_key(actions: Iterable[ActionRef]) -> str:
+    """Key of an action sequence in the oracle table and in sample files."""
+    return ";".join(action_key(a) for a in actions)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +336,6 @@ class Trajectory:
     @property
     def length(self) -> int:
         return len(self.actions)
-
-    def sequence_key(self) -> str:
-        return ";".join(action_key(s.action) for s in self.actions)
 
     def to_dict(self) -> dict:
         return {
@@ -460,24 +451,6 @@ def replay_actions(
     for action in actions:
         x = transition(x, action, library, sched, global_seed, p_max=p_max)
     return x
-
-
-def recorded_actions(x: ComposedObject) -> list[ActionRef]:
-    """Reconstruct the action sequence that built ``x`` in recorded order."""
-    actions: list[ActionRef] = []
-    for i, comp in enumerate(x.components):
-        if i == 0:
-            actions.append(FirstSynthon(synthon_id=comp.synthon_id))
-        else:
-            actions.append(
-                AddSynthon(
-                    parent_component=comp.parent_component,
-                    parent_attachment=comp.parent_attachment,
-                    synthon_id=comp.synthon_id,
-                    child_attachment=comp.child_attachment,
-                )
-            )
-    return actions
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,13 @@ from .compstate import (
     AddSynthon,
     ComposedObject,
     EMPTY_OBJECT,
-    FirstSynthon,
     SynthonLibrary,
     Trajectory,
     TrajectoryStep,
     decompose,
     transition,
 )
-from .domain import RewardParams, RuleSet, action_space, log_reward, reward
+from .domain import RewardParams, RuleSet, action_space, log_reward
 from .nn import Eval, ParamStore, Tape, adam_step, mlp_apply, register_mlp
 from .schedule import Schedule, action_steps
 from .seeding import rng_from
@@ -292,11 +291,6 @@ def tb_loss_node(tape: Tape, sampled: SampledTrajectory) -> int:
     return tape.mul(resid, resid)
 
 
-def tb_loss_value(traj: Trajectory, log_z: float) -> float:
-    total = log_z + sum(s.log_prob for s in traj.actions)
-    return float((total - np.log(traj.reward)) ** 2)
-
-
 def ce_batch(
     dataset: list[ComposedObject],
     rules: RuleSet,
@@ -370,6 +364,10 @@ class PolicyHyper:
     lr_log_z: float = 1e-3
     eps_random: float = 0.05
     objective: str = "tb"
+
+    def __post_init__(self) -> None:
+        if self.objective not in ("tb", "ce"):
+            raise PolicyError(f"objective must be tb or ce, got {self.objective!r}")
 
 
 def train_policy_tb(

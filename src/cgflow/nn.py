@@ -82,9 +82,6 @@ class ParamStore:
     def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         return self._m[name], self._v[name]
 
-    def n_parameters(self) -> int:
-        return sum(t.size for t in self._tensors.values())
-
     def copy(self) -> "ParamStore":
         other = ParamStore()
         for name, t in self._tensors.items():

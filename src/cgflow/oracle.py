@@ -19,7 +19,7 @@ from .compstate import (
     ComposedObject,
     EMPTY_OBJECT,
     SynthonLibrary,
-    action_key,
+    sequence_key,
     transition,
 )
 from .domain import RewardParams, RuleSet, action_space, log_reward
@@ -69,18 +69,18 @@ def _enumerate_bfs_keys(
     rules: RuleSet, sched: Schedule, library: SynthonLibrary, cap: int
 ) -> set[str]:
     """Symbolic enumeration of action sequences (states never integrated)."""
-    queue: deque[tuple[ComposedObject, tuple[str, ...]]] = deque([(EMPTY_OBJECT, ())])
+    queue: deque[tuple[ComposedObject, tuple[ActionRef, ...]]] = deque([(EMPTY_OBJECT, ())])
     done: set[str] = set()
     while queue:
-        x, keys = queue.popleft()
+        x, actions = queue.popleft()
         if x.is_terminal:
-            done.add(";".join(keys))
+            done.add(sequence_key(actions))
             if len(done) > cap:
                 raise OracleError(f"sequence enumeration exceeded {cap}")
             continue
         for action in action_space(x, rules, library):
             child = transition(x, action, library, sched, global_seed=0, p_max=rules.p_max)
-            queue.append((child, keys + (action_key(action),)))
+            queue.append((child, actions + (action,)))
     return done
 
 
@@ -106,7 +106,7 @@ def enumerate_sequences(
             log_r = log_reward(x, reward_params, library)
             records.append(
                 SequenceRecord(
-                    key=";".join(action_key(a) for a in actions),
+                    key=sequence_key(actions),
                     actions=tuple(actions),
                     terminal_object=x,
                     reward=float(np.exp(log_r)),
@@ -208,11 +208,4 @@ def uniform_policy_distribution(table: SequenceTable) -> np.ndarray:
     for i, rec in enumerate(table.records):
         logp = -sum(np.log(len(space)) for space in rec.decision_spaces)
         out[i] = np.exp(logp)
-    return out
-
-
-def length_distribution(table: SequenceTable, probs: np.ndarray) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for rec, p in zip(table.records, probs):
-        out[len(rec.actions)] = out.get(len(rec.actions), 0.0) + float(p)
     return out

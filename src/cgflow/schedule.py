@@ -72,51 +72,6 @@ class Schedule:
         return 1.0 / self.n_steps
 
 
-@dataclass(frozen=True, order=True)
-class StepTime:
-    """A grid time ``step_index / n_steps`` held exactly as integers."""
-
-    step_index: int
-    n_steps: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.step_index <= self.n_steps:
-            raise ScheduleError(
-                f"step_index {self.step_index} outside [0, {self.n_steps}]"
-            )
-
-    @property
-    def value(self) -> float:
-        return self.step_index / self.n_steps
-
-
-def step_time(step_index: int, sched: Schedule) -> StepTime:
-    return StepTime(step_index, sched.n_steps)
-
-
-def k_of_t(t: StepTime, sched: Schedule, n: int) -> int:
-    """Number of components present at time ``t`` for an ``n``-component object.
-
-    Zero at t=0, otherwise ``min(floor(t/lambda) + 1, n)``.
-    """
-    if n > sched.max_components:
-        raise ScheduleError(f"n={n} exceeds max_components={sched.max_components}")
-    if t.step_index == 0:
-        return 0
-    return min(t.step_index // sched.lam_steps + 1, n)
-
-
-def t_gen(i: int, sched: Schedule) -> StepTime:
-    """Generation time lambda * (i - 1) of the i-th component (1-based)."""
-    if not 1 <= i <= sched.max_components:
-        raise ScheduleError(f"component index {i} outside [1, {sched.max_components}]")
-    return StepTime((i - 1) * sched.lam_steps, sched.n_steps)
-
-
-def t_gen_step(i: int, sched: Schedule) -> int:
-    return t_gen(i, sched).step_index
-
-
 def t_end_step(t_gen_step_index: int, sched: Schedule) -> int:
     """Step index at which a component's interpolation window closes.
 
@@ -126,17 +81,13 @@ def t_end_step(t_gen_step_index: int, sched: Schedule) -> int:
     return t_gen_step_index + sched.window_steps
 
 
-def t_local(t: StepTime, t_gen_i: StepTime, sched: Schedule) -> float:
-    """Clipped per-component progress ``clip((t - t_gen) / t_window)``.
+def t_local_from_steps(step_index: int, t_gen_step_index: int, sched: Schedule) -> float:
+    """Clipped per-component progress ``clip((step - gen) / window_steps)``.
 
-    Exactly 0 for a component whose generation time has not been reached
+    Exactly 0 for a component whose generation step has not been reached
     (which doubles as the "not initialized" marker) and exactly 1 once the
     window has fully elapsed.
     """
-    return t_local_from_steps(t.step_index, t_gen_i.step_index, sched)
-
-
-def t_local_from_steps(step_index: int, t_gen_step_index: int, sched: Schedule) -> float:
     delta = step_index - t_gen_step_index
     if delta <= 0:
         return 0.0

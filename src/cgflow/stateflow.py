@@ -47,7 +47,7 @@ class StateFlowError(ValueError):
 
 
 def feature_dim(sched: Schedule) -> int:
-    # coords(2) + self-cond coords(2) + t_local(1) + attachment flag(1)
+    # coords(2) + self-cond coords(2) + local time(1) + attachment flag(1)
     # + component one-hot + synthon klass summary(2)
     return 8 + sched.max_components
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from cgflow.compstate import load_default_library
+from cgflow.compstate import default_library_bytes, library_from_dict
 from cgflow.domain import RewardParams, RuleSet
 from cgflow.schedule import Schedule
 
@@ -12,7 +14,7 @@ GLOBAL_SEED = 20240810
 
 @pytest.fixture(scope="session")
 def library():
-    return load_default_library()
+    return library_from_dict(json.loads(default_library_bytes()))
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,7 @@ from cgflow.compstate import (
     decompose,
     ground_truth_layout,
     replay_actions,
+    sequence_key,
 )
 from cgflow.domain import RuleSet, action_space, generate_dataset, validate_library
 from cgflow.gflownet import (
@@ -44,7 +45,7 @@ from cgflow.oracle import (
     tv_distance,
     uniform_policy_distribution,
 )
-from cgflow.schedule import Schedule, step_time, t_gen, t_local
+from cgflow.schedule import Schedule, action_steps, t_local_from_steps
 from cgflow.seeding import rng_from
 from cgflow.stateflow import (
     StateFlowHyper,
@@ -91,10 +92,9 @@ def test_01_schedule_fidelity(fig2_sched, report):
     t0 = time.perf_counter()
     ok = True
     for step in range(fig2_sched.n_steps + 1):
-        for i in range(1, 5):
-            gen = t_gen(i, fig2_sched)
-            exact = min(max(Fraction(step - gen.step_index, fig2_sched.window_steps), 0), 1)
-            if t_local(step_time(step, fig2_sched), gen, fig2_sched) != float(exact):
+        for gen in action_steps(fig2_sched):
+            exact = min(max(Fraction(step - gen, fig2_sched.window_steps), 0), 1)
+            if t_local_from_steps(step, gen, fig2_sched) != float(exact):
                 ok = False
     report(1, ok, f"t_local matches exact clip at every grid point ({time.perf_counter()-t0:.2f}s)")
     assert ok
@@ -348,13 +348,17 @@ def test_10_exact_distribution_consistency(ctx, library, sched, rules, reward_pa
     p_model = model_distribution(policy, ctx.table, tol=1e-9)
     sum_err = abs(float(p_model.sum()) - 1.0)
     counts = dict.fromkeys([r.key for r in ctx.table.records], 0)
+    # the policy and the state flow are frozen, so one rollout cache, node
+    # memo and policy table serve all draws; the draws stay bitwise those of
+    # plain sampling (tests/test_gflownet.py::TestPrefixMemo)
+    memo = {"rollout_cache": {}, "node_memo": {}, "policy_table": {}}
     n = 20_000
     for j in range(n):
         out = sample_trajectory(
             policy, ctx.state_model, sched, rules, library, reward_params,
-            global_seed=GS, traj_seed=j,
+            global_seed=GS, traj_seed=j, **memo,
         )
-        counts[out.trajectory.sequence_key()] += 1
+        counts[sequence_key(s.action for s in out.trajectory.actions)] += 1
     empirical = np.array([counts[r.key] for r in ctx.table.records]) / n
     tv = tv_distance(empirical, p_model)
     ok = sum_err <= 1e-9 and tv <= 0.02

@@ -43,6 +43,24 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def with_field(doc, section, key, value):
+    doc[section][key] = value
+    return doc
+
+
+MALFORMED_CONFIGS = {
+    "n_steps-string": lambda d: with_field(d, "schedule", "n_steps", "abc"),
+    "n_steps-float": lambda d: with_field(d, "schedule", "n_steps", 20.7),
+    "schedule-list": lambda d: {**d, "schedule": [1, 2]},
+    "top-level-list": lambda d: [1],
+    "anchor-one-coordinate": lambda d: with_field(d, "reward", "anchors", [[1.0]]),
+    "lr-null": lambda d: with_field(d, "policy", "lr", None),
+    "lr-int-beyond-float": lambda d: with_field(d, "policy", "lr", 10**400),
+    "dataset_size-bool": lambda d: {**d, "dataset_size": True},
+    "unknown-key": lambda d: with_field(d, "stateflow", "sigmaa", 0.05),
+}
+
+
 class TestConfig:
     def test_round_trip_identity(self, tiny_config):
         cfg = load_config(tiny_config)
@@ -63,6 +81,30 @@ class TestConfig:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert run(["gen-data", "--config", path]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("edit", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, edit):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(default_config_dict())))
+        assert run(["oracle", "--config", path]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "invalid-config"
+
+    def test_unknown_objective_is_config_error(self, tmp_path):
+        doc = default_config_dict()
+        doc["policy"]["objective"] = "db"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["oracle", "--config", path]) == EXIT_CONFIG
+
+    def test_config_hash_pinned(self, tmp_path):
+        assert load_config(DEFAULT_CONFIG).config_hash() == "687e428bc556edc8"
+        doc = default_config_dict()
+        doc["schedule"]["integrator_mode"] = "rectified"
+        doc["policy"]["objective"] = "ce"
+        path = tmp_path / "ce.json"
+        path.write_text(json.dumps(doc))
+        assert load_config(path).config_hash() == "78b9406dc6fadd95"
 
     def test_hashes_stable(self, tiny_config):
         cfg = load_config(tiny_config)

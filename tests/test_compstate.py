@@ -16,12 +16,20 @@ from cgflow.compstate import (
     ground_truth_layout,
     initial_state_sample,
     plan_for_order,
-    recorded_actions,
     replay_actions,
     transition,
     valid_orders,
 )
 from cgflow.domain import RuleSet, action_space, generate_dataset
+
+
+def recorded_actions(x):
+    """The action sequence that built ``x``, read back from its components."""
+    return [
+        AddSynthon(c.parent_component, c.parent_attachment, c.synthon_id, c.child_attachment)
+        if i else FirstSynthon(c.synthon_id)
+        for i, c in enumerate(x.components)
+    ]
 
 
 def build(actions, library, sched, seed=0):

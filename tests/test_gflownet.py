@@ -3,7 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cgflow.compstate import EMPTY_OBJECT, AddSynthon, FirstSynthon, replay_actions, transition
+from cgflow.compstate import (
+    EMPTY_OBJECT,
+    AddSynthon,
+    FirstSynthon,
+    replay_actions,
+    sequence_key,
+    transition,
+)
 from cgflow.domain import RuleSet, action_space, generate_dataset
 from cgflow.gflownet import (
     DataPipelineError,
@@ -18,7 +25,6 @@ from cgflow.gflownet import (
     policy_distribution,
     sample_trajectory,
     tb_loss_node,
-    tb_loss_value,
     train_policy_ce,
     train_policy_tb,
     uniform_ce_baseline,
@@ -27,6 +33,10 @@ from cgflow.nn import Tape, adam_step, finite_difference_check
 from cgflow.schedule import Schedule, action_steps
 from cgflow.seeding import mix64, rng_from
 from cgflow.stateflow import HIDDEN, StateFlowModel, euler_rollout, featurize_points
+
+
+def traj_key(traj):
+    return sequence_key(s.action for s in traj.actions)
 
 
 def reference_log_probs(policy, x, t_step, actions):
@@ -126,7 +136,7 @@ class TestSampleTrajectory:
         policy, state_model = models
         a = sample_trajectory(policy, state_model, sched, rules, library, reward_params, 9, 4)
         b = sample_trajectory(policy, state_model, sched, rules, library, reward_params, 9, 4)
-        assert a.trajectory.sequence_key() == b.trajectory.sequence_key()
+        assert traj_key(a.trajectory) == traj_key(b.trajectory)
         assert a.trajectory.reward == b.trajectory.reward
         for sa, sb in zip(a.trajectory.terminal_object.states, b.trajectory.terminal_object.states):
             assert np.array_equal(sa, sb)
@@ -159,7 +169,7 @@ class TestSampleTrajectory:
             policy, state_model, sched, rules, library, reward_params, 9, 999,
             forced_actions=forced,
         )
-        assert replayed.trajectory.sequence_key() == out.trajectory.sequence_key()
+        assert traj_key(replayed.trajectory) == traj_key(out.trajectory)
         assert replayed.trajectory.reward == out.trajectory.reward
 
 
@@ -183,7 +193,7 @@ class TestRolloutReuse:
             plain, g_plain = draw(j, None)
             cached, g_cached = draw(j, cache)
             a, b = plain.trajectory, cached.trajectory
-            assert a.sequence_key() == b.sequence_key()
+            assert traj_key(a) == traj_key(b)
             assert [s.step_index for s in a.actions] == [s.step_index for s in b.actions]
             assert [s.log_prob for s in a.actions] == [s.log_prob for s in b.actions]
             assert plain.log_reward == cached.log_reward
@@ -277,7 +287,7 @@ class TestPrefixMemo:
 
         def same(a, b):
             ta, tb = a.trajectory, b.trajectory
-            assert ta.sequence_key() == tb.sequence_key()
+            assert traj_key(ta) == traj_key(tb)
             assert [s.step_index for s in ta.actions] == [s.step_index for s in tb.actions]
             assert [s.log_prob for s in ta.actions] == [s.log_prob for s in tb.actions]
             assert a.log_reward == b.log_reward
@@ -415,11 +425,19 @@ class TestTBLoss:
         assert err < 1e-4
 
     def test_tb_loss_value_helper(self, models, library, sched, rules, reward_params):
+        # the taped loss against a float reference built from the recorded
+        # log-probs and reward
+        def tb_loss_value(traj, log_z):
+            total = log_z + sum(s.log_prob for s in traj.actions)
+            return float((total - np.log(traj.reward)) ** 2)
+
         policy, state_model = models
-        out = sample_trajectory(policy, state_model, sched, rules, library, reward_params, 9, 77)
-        v = tb_loss_value(out.trajectory, policy.log_z)
-        manual = (policy.log_z + sum(s.log_prob for s in out.trajectory.actions) - np.log(out.trajectory.reward)) ** 2
-        assert v == pytest.approx(manual, rel=1e-12)
+        tape = Tape(policy.store)
+        out = sample_trajectory(
+            policy, state_model, sched, rules, library, reward_params, 9, 77, tape=tape
+        )
+        v = float(tape.value(tb_loss_node(tape, out)))
+        assert v == pytest.approx(tb_loss_value(out.trajectory, policy.log_z), rel=1e-12)
 
 
 class TestCELoss:

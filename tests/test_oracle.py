@@ -5,12 +5,15 @@ import pytest
 
 from cgflow.compstate import (
     EMPTY_OBJECT,
+    AddSynthon,
     AttachmentPoint,
+    FirstSynthon,
     Synthon,
     SynthonLibrary,
     replay_actions,
+    sequence_key,
+    transition,
 )
-from cgflow.compstate import action_key, transition
 from cgflow.domain import RuleSet, action_space, validate_library
 from cgflow.gflownet import PolicyModel, policy_distribution, sample_trajectory
 from cgflow.nn import ParamStore
@@ -18,7 +21,6 @@ from cgflow.oracle import (
     OracleError,
     _enumerate_bfs_keys,
     enumerate_sequences,
-    length_distribution,
     model_distribution,
     sequence_log_probs,
     target_distribution,
@@ -153,13 +155,16 @@ class TestModelDistribution:
         state_model, policy, table = frozen
         p = model_distribution(policy, table)
         counts = dict.fromkeys([r.key for r in table.records], 0)
+        # frozen models: one rollout cache, node memo and policy table serve
+        # every draw, which leaves the draws bitwise unchanged (TestPrefixMemo)
+        memo = {"rollout_cache": {}, "node_memo": {}, "policy_table": {}}
         n = 4000
         for j in range(n):
             out = sample_trajectory(
                 policy, state_model, sched, rules, library, reward_params,
-                global_seed=9, traj_seed=j,
+                global_seed=9, traj_seed=j, **memo,
             )
-            counts[out.trajectory.sequence_key()] += 1
+            counts[sequence_key(s.action for s in out.trajectory.actions)] += 1
         emp = np.array([counts[r.key] for r in table.records]) / n
         assert tv_distance(emp, p) <= 0.05
 
@@ -182,13 +187,13 @@ class TestModelDistribution:
         assert sequence_log_probs(policy, table).tobytes() == np.array(want).tobytes()
 
     def test_bfs_keys_match_recursive_walk(self, library, sched, rules):
-        def walk(x, keys):
+        def walk(x, actions):
             if x.is_terminal:
-                yield ";".join(keys)
+                yield sequence_key(actions)
                 return
             for a in action_space(x, rules, library):
                 child = transition(x, a, library, sched, global_seed=0, p_max=rules.p_max)
-                yield from walk(child, keys + (action_key(a),))
+                yield from walk(child, actions + (a,))
 
         want = list(walk(EMPTY_OBJECT, ()))
         assert len(want) == len(set(want)) == 24
@@ -200,9 +205,19 @@ class TestModelDistribution:
 class TestLengthDistribution:
     def test_uniform_policy_lengths(self, frozen):
         _, _, table = frozen
-        dist = length_distribution(table, uniform_policy_distribution(table))
-        assert dist[2] == pytest.approx(0.5)
-        assert dist[3] == pytest.approx(0.5)
+        u = uniform_policy_distribution(table)
+        lengths = np.array([len(r.actions) for r in table.records])
+        assert u[lengths == 2].sum() == pytest.approx(0.5)
+        assert u[lengths == 3].sum() == pytest.approx(0.5)
+
+
+def recorded_actions(x):
+    """The action sequence that built ``x``, read back from its components."""
+    return [
+        AddSynthon(c.parent_component, c.parent_attachment, c.synthon_id, c.child_attachment)
+        if i else FirstSynthon(c.synthon_id)
+        for i, c in enumerate(x.components)
+    ]
 
 
 class TabularPolicy:
@@ -213,9 +228,7 @@ class TabularPolicy:
         self.store = ParamStore()  # no parameters: logits come from the table
 
     def logits(self, ops, x, t_step, actions):
-        from cgflow.compstate import action_key, recorded_actions
-
-        prefix = ";".join(action_key(a) for a in recorded_actions(x))
+        prefix = sequence_key(recorded_actions(x))
         probs = self.conditionals[prefix]
         return ops.const(np.log(np.array([probs[a] for a in actions])))
 
@@ -225,8 +238,6 @@ class TestTBFixedPoint:
         # driving TB loss to ~0 on every trajectory pins the sequence
         # distribution to R/Z: instantiate the unique balancing policy and
         # check both statements
-        from cgflow.compstate import action_key
-
         _, _, table = frozen
         target = target_distribution(table, beta=1.0)
 
@@ -234,7 +245,7 @@ class TestTBFixedPoint:
         edge_mass: dict[tuple[str, object], float] = {}
         for rec, p in zip(table.records, target):
             for k in range(len(rec.actions)):
-                prefix = ";".join(action_key(a) for a in rec.actions[:k])
+                prefix = sequence_key(rec.actions[:k])
                 prefix_mass[prefix] = prefix_mass.get(prefix, 0.0) + float(p)
                 edge = (prefix, rec.actions[k])
                 edge_mass[edge] = edge_mass.get(edge, 0.0) + float(p)

@@ -9,61 +9,38 @@ from cgflow.schedule import (
     Schedule,
     ScheduleError,
     action_steps,
-    k_of_t,
     kappa,
-    step_time,
     t_end_step,
-    t_gen,
-    t_local,
     t_local_from_steps,
 )
 
 
-class TestKOfT:
-    def test_zero_time(self, fig2_sched):
-        assert k_of_t(step_time(0, fig2_sched), fig2_sched, 4) == 0
-
-    def test_midpoint(self, fig2_sched):
-        # floor(0.5 / 0.2) + 1 = 3
-        assert k_of_t(step_time(10, fig2_sched), fig2_sched, 4) == 3
-
-    def test_endpoint_capped(self, fig2_sched):
-        assert k_of_t(step_time(20, fig2_sched), fig2_sched, 4) == 4
-
-    def test_non_decreasing_and_complete(self, fig2_sched):
-        values = [k_of_t(step_time(s, fig2_sched), fig2_sched, 4) for s in range(21)]
-        assert values == sorted(values)
-        assert values[-1] == 4
+def t_gen(i, sched):
+    """Generation step of the i-th component (1-based)."""
+    return action_steps(sched)[i - 1]
 
 
 class TestTGen:
     def test_first_component_at_origin(self, sched):
-        assert t_gen(1, sched).step_index == 0
+        assert t_gen(1, sched) == 0
 
     def test_third_component_lambda_02(self, fig2_sched):
-        assert t_gen(3, fig2_sched).value == pytest.approx(0.4, abs=0)
+        assert t_gen(3, fig2_sched) / fig2_sched.n_steps == pytest.approx(0.4, abs=0)
 
     def test_third_component_lambda_03(self, sched):
-        assert t_gen(3, sched).value == pytest.approx(0.6, abs=0)
-
-    def test_out_of_range(self, sched):
-        with pytest.raises(ScheduleError):
-            t_gen(4, sched)
-        with pytest.raises(ScheduleError):
-            t_gen(0, sched)
+        assert t_gen(3, sched) / sched.n_steps == pytest.approx(0.6, abs=0)
 
 
 class TestTLocal:
     def test_interior(self, fig2_sched):
         # (0.5 - 0.2) / 0.4 = 0.75
-        v = t_local(step_time(10, fig2_sched), step_time(4, fig2_sched), fig2_sched)
-        assert v == 0.75
+        assert t_local_from_steps(10, 4, fig2_sched) == 0.75
 
     def test_clip_low(self, fig2_sched):
-        assert t_local(step_time(2, fig2_sched), step_time(4, fig2_sched), fig2_sched) == 0.0
+        assert t_local_from_steps(2, 4, fig2_sched) == 0.0
 
     def test_clip_high(self, fig2_sched):
-        assert t_local(step_time(18, fig2_sched), step_time(4, fig2_sched), fig2_sched) == 1.0
+        assert t_local_from_steps(18, 4, fig2_sched) == 1.0
 
 
 class TestKappa:
@@ -119,19 +96,16 @@ class TestScheduleInvariants:
             18: (1.0, 1.0, 1.0, 0.75),
         }
         for step, values in expected.items():
-            got = tuple(
-                t_local(step_time(step, fig2_sched), t_gen(i, fig2_sched), fig2_sched)
-                for i in range(1, 5)
-            )
+            got = tuple(t_local_from_steps(step, t_gen(i, fig2_sched), fig2_sched) for i in range(1, 5))
             assert got == values
 
     def test_t_local_matches_exact_rational_clip(self, fig2_sched):
         for step in range(fig2_sched.n_steps + 1):
             for i in range(1, 5):
                 gen = t_gen(i, fig2_sched)
-                frac = Fraction(step - gen.step_index, fig2_sched.window_steps)
+                frac = Fraction(step - gen, fig2_sched.window_steps)
                 frac = min(max(frac, Fraction(0)), Fraction(1))
-                assert t_local(step_time(step, fig2_sched), gen, fig2_sched) == float(frac)
+                assert t_local_from_steps(step, gen, fig2_sched) == float(frac)
 
     @given(
         step=st.integers(min_value=0, max_value=20),
@@ -147,13 +121,6 @@ class TestScheduleInvariants:
             if gen < step < step + 1 <= gen + s.window_steps:
                 assert u1 - u0 == pytest.approx(s.dt / s.t_window)
 
-    def test_k_of_t_brackets_generation_times(self, fig2_sched):
-        for i in range(1, 5):
-            gen = t_gen(i, fig2_sched)
-            assert k_of_t(gen, fig2_sched, 4) >= i - 1
-            nxt = step_time(gen.step_index + 1, fig2_sched)
-            assert k_of_t(nxt, fig2_sched, 4) >= i
-
     def test_t_end_step(self, fig2_sched):
-        assert t_end_step(t_gen(1, fig2_sched).step_index, fig2_sched) == 8
-        assert t_end_step(t_gen(4, fig2_sched).step_index, fig2_sched) == 20
+        assert t_end_step(t_gen(1, fig2_sched), fig2_sched) == 8
+        assert t_end_step(t_gen(4, fig2_sched), fig2_sched) == 20

@@ -97,8 +97,8 @@ def _object(doc, keys, where: str) -> dict:
 
 def _value(value, kind, where: str):
     """Check one config value against its field type: int, float, str or
-    anchors.  A float field takes a JSON int within float range; no field
-    takes a bool."""
+    anchors.  A float field takes a finite JSON number (an int within float
+    range); no field takes a bool."""
     if kind == _ANCHORS:
         if type(value) is not list or any(type(p) is not list or len(p) != 2 for p in value):
             raise ConfigError(f"{where} must be a list of [x, y] pairs, got {value!r}")
@@ -107,6 +107,8 @@ def _value(value, kind, where: str):
         return float(value)
     if type(value) is not kind:
         raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
+    if kind is float and not np.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return value
 
 
@@ -324,7 +326,7 @@ def cmd_train_policy(config: RunConfig) -> None:
         table = oracle.enumerate_sequences(
             config.rules, config.schedule, state_model, library, config.reward, config.seed
         )
-        target = oracle.target_distribution(table, config.reward.beta)
+        target = oracle.target_distribution(table)
 
         def probe(policy: PolicyModel) -> float:
             return oracle.tv_distance(oracle.model_distribution(policy, table), target)
@@ -381,7 +383,7 @@ def cmd_oracle(config: RunConfig) -> None:
     table = oracle.enumerate_sequences(
         config.rules, config.schedule, state_model, library, config.reward, config.seed
     )
-    target = oracle.target_distribution(table, config.reward.beta)
+    target = oracle.target_distribution(table)
     paths = _paths(config)
     rows = []
     p_model = None
@@ -393,7 +395,7 @@ def cmd_oracle(config: RunConfig) -> None:
             "key": rec.key,
             "actions": [dataclasses.asdict(a) | {"type": type(a).__name__} for a in rec.actions],
             "length": len(rec.actions),
-            "reward": rec.reward,
+            "reward": float(np.exp(rec.log_reward)),
             "p_target": float(target[i]),
             "p_uniform": float(oracle.uniform_policy_distribution(table)[i]),
         }
@@ -403,8 +405,8 @@ def cmd_oracle(config: RunConfig) -> None:
     summary = {
         "record": "summary",
         "n_sequences": len(table),
-        "z_exact": table.z_exact(config.reward.beta),
-        "log_z_exact": table.log_z_exact(config.reward.beta),
+        "z_exact": table.z_exact(),
+        "log_z_exact": table.log_z_exact(),
     }
     if p_model is not None:
         summary["p_model_sum"] = float(p_model.sum())
@@ -484,7 +486,7 @@ def cmd_gradcheck(config: RunConfig) -> dict:
     library = config.load_library()
     sched = config.schedule
     rules = config.rules
-    data = generate_dataset(64, config.seed, library, rules, sched)
+    data = generate_dataset(64, config.seed, library, rules, sched, sigma_data=config.stateflow.sigma_data)
     sf = StateFlowModel.create(sched, library, seed=config.seed + 1)
     policy = PolicyModel.create(sched, library, seed=config.seed + 2)
     rng = rng_from(config.seed, "gradcheck")

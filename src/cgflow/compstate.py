@@ -273,7 +273,7 @@ class ComposedObject:
         )
         return replace(self, states=new_states, self_cond=cond)
 
-    def to_dict(self, reward: float | None = None) -> dict:
+    def to_dict(self) -> dict:
         doc = {
             "components": [
                 {
@@ -287,7 +287,7 @@ class ComposedObject:
             ],
             "states": [np.asarray(s).tolist() for s in self.states],
             "open_attachments": [list(o) for o in self.open_attachments],
-            "reward": reward,
+            "reward": None,
         }
         return doc
 

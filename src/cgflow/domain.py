@@ -137,9 +137,9 @@ def validate_library(
     library: SynthonLibrary,
     rules: RuleSet,
     sched: Schedule,
-    state_cap: int = 100_000,
 ) -> None:
     """Exhaustively prove no reachable dead ends under the masking rules."""
+    state_cap = 100_000
     if rules.max_len > sched.max_components:
         raise LibraryValidationError(
             f"max_len {rules.max_len} exceeds schedule max_components {sched.max_components}"

@@ -209,8 +209,7 @@ def sample_trajectory(
     the state flow integrates, one segment per call.  Recorded log-probs are
     always the policy's own, so exploration does not bias the balance
     objective.  With ``forced_actions`` the action choices are replayed
-    instead of sampled, which is how the oracle and the evaluator
-    reconstruct trajectories.  ``rollout_cache`` is handed to
+    instead of sampled.  ``rollout_cache`` is handed to
     :func:`euler_rollout`; it must belong to this ``state_model``.
 
     ``node_memo`` and ``policy_table`` are caller-owned dicts keyed on the
@@ -378,10 +377,7 @@ def train_policy_tb(
     reward_params: RewardParams,
     hyper: PolicyHyper,
     run_seed: int,
-    policy: PolicyModel | None = None,
     tv_probe=None,
-    tv_every: int = 50,
-    on_metrics=None,
 ) -> tuple[PolicyModel, list[dict]]:
     """On-policy trajectory-balance training against a frozen state flow.
 
@@ -391,8 +387,7 @@ def train_policy_tb(
     table lives with its tape: every distinct decision state gets one taped
     forward, and each trajectory picks from that node.
     """
-    if policy is None:
-        policy = PolicyModel.create(sched, library, seed=run_seed)
+    policy = PolicyModel.create(sched, library, seed=run_seed)
     lr_map = {"log_Z": hyper.lr_log_z}
     rollout_cache: dict = {}
     node_memo: dict = {}
@@ -435,11 +430,9 @@ def train_policy_tb(
             "log_Z": policy.log_z,
             "wall_ms": (time.perf_counter() - t0) * 1000.0,
         }
-        if tv_probe is not None and (it % tv_every == 0 or it == hyper.iters - 1):
+        if tv_probe is not None and (it % 50 == 0 or it == hyper.iters - 1):
             row["tv_vs_oracle"] = float(tv_probe(policy))
         metrics.append(row)
-        if on_metrics is not None:
-            on_metrics(row)
     return policy, metrics
 
 
@@ -450,12 +443,9 @@ def train_policy_ce(
     library: SynthonLibrary,
     hyper: PolicyHyper,
     run_seed: int,
-    policy: PolicyModel | None = None,
-    on_metrics=None,
 ) -> tuple[PolicyModel, list[dict]]:
     """Maximum-likelihood training of the policy on decomposed dataset objects."""
-    if policy is None:
-        policy = PolicyModel.create(sched, library, seed=run_seed)
+    policy = PolicyModel.create(sched, library, seed=run_seed)
     rng = rng_from(run_seed, "train-ce")
     metrics: list[dict] = []
     for it in range(hyper.iters):
@@ -472,6 +462,4 @@ def train_policy_ce(
             "wall_ms": (time.perf_counter() - t0) * 1000.0,
         }
         metrics.append(row)
-        if on_metrics is not None:
-            on_metrics(row)
     return policy, metrics

@@ -167,12 +167,10 @@ def adam_step(
     store: ParamStore,
     grads: dict[str, np.ndarray],
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     lr_overrides: dict[str, float] | None = None,
 ) -> None:
     """Standard Adam with bias correction; per-tensor learning-rate override."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient for tensor {name!r}")
@@ -488,12 +486,13 @@ def finite_difference_check(
     store: ParamStore,
     rng: np.random.Generator,
     n_coords: int = 64,
-    h: float = 1e-5,
 ) -> float:
-    """Max relative error of tape gradients vs central differences.
+    """Max relative error of tape gradients vs central differences with
+    step ``h = 1e-5``.
 
     ``build_loss`` must be a pure function of the store's parameters.
     """
+    h = 1e-5
     tape = Tape(store)
     loss_node = build_loss(tape)
     grads = tape.backward(loss_node)

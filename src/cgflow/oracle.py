@@ -36,31 +36,37 @@ class OracleError(RuntimeError):
 class SequenceRecord:
     key: str
     actions: tuple[ActionRef, ...]
+    prefix: tuple[int, ...]  # index of each action in its decision's legal list
     terminal_object: ComposedObject
-    reward: float
     log_reward: float
-    decision_states: tuple[ComposedObject, ...]
-    decision_steps: tuple[int, ...]
-    decision_spaces: tuple[tuple[ActionRef, ...], ...]
-    decision_indices: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Decision:
+    state: ComposedObject  # integrated up to ``step``
+    step: int
+    actions: tuple[ActionRef, ...]
 
 
 @dataclass(frozen=True)
 class SequenceTable:
+    """The sequence tree: one record per leaf, one decision per inner node,
+    the latter keyed on the action-index prefix that reaches it."""
+
     records: tuple[SequenceRecord, ...]
-    global_seed: int
+    decisions: dict[tuple[int, ...], Decision]
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def rewards(self, beta: float = 1.0) -> np.ndarray:
-        return np.exp(beta * np.array([r.log_reward for r in self.records]))
+    def log_rewards(self) -> np.ndarray:
+        return np.array([r.log_reward for r in self.records])
 
-    def z_exact(self, beta: float = 1.0) -> float:
-        return float(self.rewards(beta).sum())
+    def z_exact(self) -> float:
+        return float(np.exp(self.log_rewards()).sum())
 
-    def log_z_exact(self, beta: float = 1.0) -> float:
-        log_r = beta * np.array([r.log_reward for r in self.records])
+    def log_z_exact(self) -> float:
+        log_r = self.log_rewards()
         peak = log_r.max()
         return float(peak + np.log(np.exp(log_r - peak).sum()))
 
@@ -95,49 +101,31 @@ def enumerate_sequences(
 ) -> SequenceTable:
     """DFS over the action space with deterministic state rollouts.
 
-    Every decision point stores the integrated object snapshot and its
+    Every decision point is stored once, with its integrated object and its
     legal-action list, so policy probabilities can be re-scored exactly
     without re-running the state flow.
     """
     records: list[SequenceRecord] = []
+    decisions: dict[tuple[int, ...], Decision] = {}
 
-    def dfs(x, step, actions, states, steps, spaces, indices):
+    def dfs(x, step, prefix, actions):
         if x.is_terminal:
             log_r = log_reward(x, reward_params, library)
-            records.append(
-                SequenceRecord(
-                    key=sequence_key(actions),
-                    actions=tuple(actions),
-                    terminal_object=x,
-                    reward=float(np.exp(log_r)),
-                    log_reward=log_r,
-                    decision_states=tuple(states),
-                    decision_steps=tuple(steps),
-                    decision_spaces=tuple(tuple(s) for s in spaces),
-                    decision_indices=tuple(indices),
-                )
-            )
+            records.append(SequenceRecord(sequence_key(actions), actions, prefix, x, log_r))
             if len(records) > cap:
                 raise OracleError(f"sequence enumeration exceeded {cap}")
             return
-        space = action_space(x, rules, library)
+        space = tuple(action_space(x, rules, library))
         if not space:
             raise OracleError("non-terminal state with empty action space")
+        decisions[prefix] = Decision(x, step, space)
         for idx, action in enumerate(space):
             child = transition(x, action, library, sched, global_seed, p_max=rules.p_max)
             nxt = next_decision_step(child, rules, sched)
             rolled = euler_rollout(child, state_model, sched, step, nxt)
-            dfs(
-                rolled,
-                nxt,
-                actions + [action],
-                states + [x],
-                steps + [step],
-                spaces + [space],
-                indices + [idx],
-            )
+            dfs(rolled, nxt, prefix + (idx,), actions + (action,))
 
-    dfs(EMPTY_OBJECT, 0, [], [], [], [], [])
+    dfs(EMPTY_OBJECT, 0, (), ())
     records.sort(key=lambda r: r.key)
 
     bfs_keys = _enumerate_bfs_keys(rules, sched, library, cap)
@@ -147,12 +135,13 @@ def enumerate_sequences(
             "DFS/BFS enumeration mismatch: "
             f"{sorted(dfs_keys ^ bfs_keys)[:5]} differ"
         )
-    return SequenceTable(records=tuple(records), global_seed=global_seed)
+    return SequenceTable(records=tuple(records), decisions=decisions)
 
 
-def target_distribution(table: SequenceTable, beta: float = 1.0) -> np.ndarray:
-    """Reward-proportional target p_i = R_i^beta / sum R_j^beta (log-domain)."""
-    log_r = beta * np.array([r.log_reward for r in table.records])
+def target_distribution(table: SequenceTable) -> np.ndarray:
+    """Reward-proportional target p_i = R_i / sum R_j (log-domain); the
+    reward ``R = exp(log_reward)`` already carries the exponent ``beta``."""
+    log_r = table.log_rewards()
     log_r -= log_r.max()
     w = np.exp(log_r)
     return w / w.sum()
@@ -166,27 +155,28 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(0.5 * np.abs(p - q).sum())
 
 
-def sequence_log_probs(policy: PolicyModel, table: SequenceTable) -> np.ndarray:
-    """Exact per-sequence log-likelihood under the policy via stored snapshots.
-
-    Records share their prefixes, so each distinct decision state is scored
-    once, keyed on the indices of the actions that lead to it.
-    """
-    scored: dict[tuple[int, ...], np.ndarray] = {}
+def _sum_along_prefixes(
+    table: SequenceTable, log_probs: dict[tuple[int, ...], np.ndarray]
+) -> np.ndarray:
+    """Per-record sum, in depth order, of the log-probability each decision
+    on its path gives the action taken; ``log_probs`` maps a decision's
+    prefix to the log-probabilities of its legal actions."""
     out = np.zeros(len(table.records))
     for i, rec in enumerate(table.records):
         total = 0.0
-        for depth, (x, step, space, idx) in enumerate(zip(
-            rec.decision_states, rec.decision_steps, rec.decision_spaces, rec.decision_indices
-        )):
-            prefix = rec.decision_indices[:depth]
-            logp = scored.get(prefix)
-            if logp is None:
-                _, logp, _ = policy_distribution(policy, x, step, list(space))
-                scored[prefix] = logp
-            total += float(logp[idx])
+        for depth, idx in enumerate(rec.prefix):
+            total += float(log_probs[rec.prefix[:depth]][idx])
         out[i] = total
     return out
+
+
+def sequence_log_probs(policy: PolicyModel, table: SequenceTable) -> np.ndarray:
+    """Exact per-sequence log-likelihood under the policy: one forward per
+    decision of the table, on its stored snapshot."""
+    return _sum_along_prefixes(table, {
+        prefix: policy_distribution(policy, d.state, d.step, list(d.actions))[1]
+        for prefix, d in table.decisions.items()
+    })
 
 
 def model_distribution(
@@ -204,8 +194,7 @@ def model_distribution(
 
 def uniform_policy_distribution(table: SequenceTable) -> np.ndarray:
     """Sequence probabilities under the uniform-over-legal-actions policy."""
-    out = np.zeros(len(table.records))
-    for i, rec in enumerate(table.records):
-        logp = -sum(np.log(len(space)) for space in rec.decision_spaces)
-        out[i] = np.exp(logp)
-    return out
+    return np.exp(_sum_along_prefixes(table, {
+        prefix: np.full(len(d.actions), -np.log(len(d.actions)))
+        for prefix, d in table.decisions.items()
+    }))

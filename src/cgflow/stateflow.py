@@ -327,8 +327,6 @@ def train_stateflow(
     library: SynthonLibrary,
     hyper: StateFlowHyper,
     run_seed: int,
-    model: StateFlowModel | None = None,
-    on_metrics=None,
 ) -> tuple[StateFlowModel, list[dict]]:
     """Simulation-free minibatch Adam on the clean-state regression loss.
 
@@ -338,8 +336,7 @@ def train_stateflow(
     """
     if not dataset:
         raise StateFlowError("empty dataset")
-    if model is None:
-        model = StateFlowModel.create(sched, library, seed=run_seed)
+    model = StateFlowModel.create(sched, library, seed=run_seed)
     rng = rng_from(run_seed, "train-stateflow")
     metrics: list[dict] = []
     recent: list[float] = []
@@ -373,6 +370,4 @@ def train_stateflow(
             "wall_ms": (time.perf_counter() - t0) * 1000.0,
         }
         metrics.append(row)
-        if on_metrics is not None:
-            on_metrics(row)
     return model, metrics

@@ -84,7 +84,7 @@ def ctx(library, sched, rules, reward_params):
         dataset, sched, library, StateFlowHyper(), run_seed=GS
     )
     table = enumerate_sequences(rules, sched, state_model, library, reward_params, GS)
-    target = target_distribution(table, reward_params.beta)
+    target = target_distribution(table)
     return Context(dataset, state_model, state_metrics, table, target)
 
 
@@ -236,7 +236,7 @@ def test_07_reward_proportional_sampling(ctx, library, sched, rules, reward_para
     )
     p_model = model_distribution(policy, ctx.table)
     tv = tv_distance(p_model, ctx.target)
-    log_z_err = abs(policy.log_z - ctx.table.log_z_exact(reward_params.beta))
+    log_z_err = abs(policy.log_z - ctx.table.log_z_exact())
     tv_uniform = tv_distance(uniform_policy_distribution(ctx.table), ctx.target)
     ok = tv <= 0.10 and log_z_err <= 0.05 and tv_uniform >= 0.15
     report(

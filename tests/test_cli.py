@@ -58,6 +58,9 @@ MALFORMED_CONFIGS = {
     "lr-int-beyond-float": lambda d: with_field(d, "policy", "lr", 10**400),
     "dataset_size-bool": lambda d: {**d, "dataset_size": True},
     "unknown-key": lambda d: with_field(d, "stateflow", "sigmaa", 0.05),
+    # json.dumps writes these as the non-standard literals NaN and Infinity
+    "temperature-nan": lambda d: with_field(d, "reward", "temperature", float("nan")),
+    "sigma_data-infinity": lambda d: with_field(d, "stateflow", "sigma_data", float("inf")),
 }
 
 

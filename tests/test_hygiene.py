@@ -1,4 +1,5 @@
-"""Source hygiene checks that need no linter: every import is used."""
+"""Source hygiene checks that need no linter: every import is used, and
+every parameter default of the package is overridden by some call."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cgflow"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cgflow"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +35,79 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     source = "import os\nfrom json import dumps, loads\nfrom a import b as c\nprint(loads, os.sep)\n"
     assert unused_imports(source) == ["c (line 3)", "dumps (line 2)"]
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None, int]]:
+    """(callee name, parameter, positional index at a call site or None for
+    keyword-only, line) of every parameter that has a default.  A method's
+    index skips ``self``/``cls``; ``__init__`` is called by its class name."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                skip = 1 if cls is not None and not static else 0
+                name = cls if child.name == "__init__" else child.name
+                positional = child.args.posonlyargs + child.args.args
+                first = len(positional) - len(child.args.defaults)
+                for i in range(first, len(positional)):
+                    out.append((name, positional[i].arg, i - skip, child.lineno))
+                for arg, default in zip(child.args.kwonlyargs, child.args.kw_defaults):
+                    if default is not None:
+                        out.append((name, arg.arg, None, child.lineno))
+                visit(child, None)
+
+    visit(tree, None)
+    return out
+
+
+def dead_parameters(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of the functions in ``sources`` (module name ->
+    text) that no call in ``callers`` passes, by keyword or by position.
+    Calls match on the callee's name, the last part of a dotted call."""
+    keywords: set[tuple[str, str]] = set()
+    positional: dict[str, int] = {}
+    for text in callers:
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            keywords.update((callee, kw.arg) for kw in node.keywords if kw.arg)
+            n = len(node.args) if not any(isinstance(a, ast.Starred) for a in node.args) else 1 << 30
+            positional[callee] = max(positional.get(callee, 0), n)
+    dead = []
+    for module, text in sources.items():
+        for callee, param, index, line in defaulted_parameters(ast.parse(text)):
+            by_position = index is not None and positional.get(callee, 0) > index
+            if (callee, param) not in keywords and not by_position:
+                dead.append(f"{module}:{line} {callee}({param})")
+    return sorted(dead)
+
+
+def test_no_dead_parameters():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    callers = [
+        p.read_text(encoding="utf-8")
+        for d in (SRC, ROOT / "tests", ROOT / "perfbench")
+        for p in sorted(d.glob("*.py"))
+    ]
+    assert dead_parameters(sources, callers) == []
+
+
+def test_detects_dead_parameter():
+    source = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, y=0):\n        pass\n"
+        "    def m(self, x=0, z=1):\n        pass\n"
+    )
+    calls = "f(0, 1)\nf(0, e=5)\nK().m(1)\n"
+    assert dead_parameters({"mod.py": source}, [source, calls]) == [
+        "mod.py:1 f(c)",
+        "mod.py:1 f(d)",
+        "mod.py:4 K(y)",
+        "mod.py:6 m(z)",
+    ]

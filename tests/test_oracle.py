@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,13 @@ def frozen(library, sched, rules, reward_params):
     return state_model, policy, table
 
 
+def table_at_beta(frozen, library, sched, rules, reward_params, beta):
+    """The ``frozen`` sequence table enumerated with reward exponent ``beta``."""
+    state_model, _, _ = frozen
+    params = dataclasses.replace(reward_params, beta=beta)
+    return enumerate_sequences(rules, sched, state_model, library, params, 9)
+
+
 class TestEnumerate:
     def test_default_library_count(self, frozen):
         # 4 first bricks x (2 terminal bricks + 2 linkers x 2 bricks)
@@ -69,9 +78,21 @@ class TestEnumerate:
         t2 = enumerate_sequences(rules, sched, sf, library, reward_params, 9)
         assert [r.key for r in t1.records] == [r.key for r in t2.records]
         for a, b in zip(t1.records, t2.records):
-            assert a.reward == b.reward
+            assert a.log_reward == b.log_reward
             for sa, sb in zip(a.terminal_object.states, b.terminal_object.states):
                 assert np.array_equal(sa, sb)
+
+    def test_one_decision_per_nonterminal_prefix(self, frozen):
+        # gate 9 counts the same 13 reachable nonterminal states
+        _, _, table = frozen
+        assert len(table.decisions) == 13
+        inner = {rec.prefix[:depth] for rec in table.records for depth in range(len(rec.prefix))}
+        assert set(table.decisions) == inner
+        for rec in table.records:
+            for depth, idx in enumerate(rec.prefix):
+                decision = table.decisions[rec.prefix[:depth]]
+                assert decision.actions[idx] == rec.actions[depth]
+                assert not decision.state.is_terminal
 
     def test_completeness_replay_and_terminality(self, frozen, library, sched, rules):
         _, _, table = frozen
@@ -89,30 +110,28 @@ class TestEnumerate:
 class TestTargetDistribution:
     def test_equal_rewards_give_uniform(self, frozen):
         _, _, table = frozen
-        import dataclasses
-
         flat = dataclasses.replace(
             table,
-            records=tuple(
-                dataclasses.replace(r, reward=0.5, log_reward=np.log(0.5)) for r in table.records
-            ),
+            records=tuple(dataclasses.replace(r, log_reward=np.log(0.5)) for r in table.records),
         )
-        p = target_distribution(flat, beta=1.0)
+        p = target_distribution(flat)
         assert np.allclose(p, 1.0 / len(flat.records), atol=1e-15)
 
     def test_sums_to_one(self, frozen):
         _, _, table = frozen
-        assert target_distribution(table, 1.0).sum() == pytest.approx(1.0, abs=1e-12)
+        assert target_distribution(table).sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_large_beta_concentrates(self, frozen):
+    def test_large_beta_concentrates(self, frozen, library, sched, rules, reward_params):
         # mass collapses onto the argmax reward tier (the two linkers give
         # near-tied rewards, so the tier can hold more than one sequence)
         _, _, table = frozen
-        p = target_distribution(table, beta=32.0)
+        hot = table_at_beta(frozen, library, sched, rules, reward_params, 32.0)
+        assert [r.key for r in hot.records] == [r.key for r in table.records]
+        p = target_distribution(hot)
         log_r = np.array([r.log_reward for r in table.records])
         tier = log_r >= log_r.max() - 0.2
         assert p[tier].sum() > 0.95
-        assert p.max() > target_distribution(table, beta=1.0).max()
+        assert p.max() > target_distribution(table).max()
         # exact ratio identity: p_i / p_j = exp(beta * (log R_i - log R_j))
         i, j = int(np.argmax(log_r)), int(np.argmin(log_r))
         assert np.log(p[i] / p[j]) == pytest.approx(32.0 * (log_r[i] - log_r[j]), rel=1e-9)
@@ -179,12 +198,21 @@ class TestModelDistribution:
         want = []
         for rec in table.records:
             total = 0.0
-            for x, step, space, idx in zip(
-                rec.decision_states, rec.decision_steps, rec.decision_spaces, rec.decision_indices
-            ):
-                total += float(policy_distribution(policy, x, step, list(space))[1][idx])
+            for depth, idx in enumerate(rec.prefix):
+                d = table.decisions[rec.prefix[:depth]]
+                total += float(policy_distribution(policy, d.state, d.step, list(d.actions))[1][idx])
             want.append(total)
         assert sequence_log_probs(policy, table).tobytes() == np.array(want).tobytes()
+
+    def test_uniform_matches_per_record_formula_bitwise(self, frozen):
+        # reference: minus the sum of log |legal actions| along each record
+        _, _, table = frozen
+        want = [
+            np.exp(-sum(np.log(len(table.decisions[rec.prefix[:depth]].actions))
+                        for depth in range(len(rec.prefix))))
+            for rec in table.records
+        ]
+        assert uniform_policy_distribution(table).tobytes() == np.array(want).tobytes()
 
     def test_bfs_keys_match_recursive_walk(self, library, sched, rules):
         def walk(x, actions):
@@ -234,12 +262,15 @@ class TabularPolicy:
 
 
 class TestTBFixedPoint:
-    def test_tabular_target_policy_balances_all_trajectories(self, frozen):
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_tabular_target_policy_balances_all_trajectories(
+        self, frozen, library, sched, rules, reward_params, beta
+    ):
         # driving TB loss to ~0 on every trajectory pins the sequence
-        # distribution to R/Z: instantiate the unique balancing policy and
-        # check both statements
-        _, _, table = frozen
-        target = target_distribution(table, beta=1.0)
+        # distribution to R/Z with R = exp(log_reward): instantiate the
+        # unique balancing policy and check both statements
+        table = table_at_beta(frozen, library, sched, rules, reward_params, beta)
+        target = target_distribution(table)
 
         prefix_mass: dict[str, float] = {}
         edge_mass: dict[tuple[str, object], float] = {}
@@ -254,7 +285,7 @@ class TestTBFixedPoint:
             conditionals.setdefault(prefix, {})[action] = mass / prefix_mass[prefix]
 
         policy = TabularPolicy(conditionals)
-        log_z = table.log_z_exact(1.0)
+        log_z = table.log_z_exact()
         log_probs = sequence_log_probs(policy, table)
         residuals = log_z + log_probs - np.array([r.log_reward for r in table.records])
         assert float((residuals**2).max()) < 1e-10

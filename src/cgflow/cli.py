@@ -3,8 +3,8 @@
 Every command is a pure function of (config, seed): given identical inputs
 it writes byte-identical artifacts except for wall-clock fields inside
 metrics lines.  Output files embed the config hash and the library hash.
-Failures exit with a distinct code per error class and print one
-machine-readable JSON error record to stderr.
+Failures exit with the code their ``cgflow.errors`` class carries and print
+one machine-readable JSON error record to stderr.
 """
 
 from __future__ import annotations
@@ -25,20 +25,22 @@ import numpy as np
 from . import oracle
 from .compstate import (
     ComposedObject,
-    CompositionError,
     SynthonLibrary,
     action_from_dict,
+    action_to_dict,
     default_library_bytes,
     library_from_dict,
     sequence_key,
 )
-from .domain import (
-    LibraryValidationError,
-    RewardParams,
-    RuleError,
-    RuleSet,
-    generate_dataset,
-    validate_library,
+from .domain import RewardParams, RuleSet, generate_dataset, validate_library
+from .errors import (
+    EXIT_FAILURE,
+    EXIT_MISSING_FILE,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    ArtifactError,
+    ConfigError,
+    InvariantError,
 )
 from .gflownet import (
     PolicyHyper,
@@ -47,28 +49,12 @@ from .gflownet import (
     train_policy_ce,
     train_policy_tb,
 )
-from .nn import NNError, NumericalError, ParamStore, Tape, finite_difference_check
-from .schedule import Schedule, ScheduleError
+from .nn import ParamStore, Tape, finite_difference_check
+from .schedule import Schedule
 from .seeding import mix64
 from .stateflow import StateFlowHyper, StateFlowModel, state_loss, train_stateflow
 
 log = logging.getLogger("cgflow")
-
-EXIT_OK = 0
-EXIT_FAILURE = 1
-EXIT_CONFIG = 2
-EXIT_MISSING_FILE = 3
-EXIT_NUMERIC = 4
-EXIT_INVARIANT = 5
-
-
-class ConfigError(ValueError):
-    pass
-
-
-class ArtifactError(ValueError):
-    """An artifact file exists but cannot be parsed: truncated or corrupt."""
-
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -123,10 +109,7 @@ def _section(kind: type, doc, name: str):
     _object(doc, keys, name)
     hints = typing.get_type_hints(kind)
     values = {field: _value(doc[key], hints[field], f"{name}.{key}") for key, field in keys.items()}
-    try:
-        return kind(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+    return kind(**values)
 
 
 def _section_dict(section) -> dict:
@@ -183,7 +166,10 @@ class RunConfig:
         return Path(self.library_path).read_bytes()
 
     def load_library(self) -> SynthonLibrary:
-        return library_from_dict(json.loads(self.library_bytes().decode("utf-8")))
+        try:
+            return library_from_dict(json.loads(self.library_bytes().decode("utf-8")))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed synthon library: {type(exc).__name__}: {exc}") from None
 
     def config_hash(self) -> str:
         doc = self.to_dict()
@@ -201,7 +187,11 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    config = RunConfig.from_dict(json.loads(path.read_text(encoding="utf-8")), base_dir=path.parent)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"{path}: unreadable config: {exc}") from None
+    config = RunConfig.from_dict(doc, base_dir=path.parent)
     if seed_override is not None:
         config = dataclasses.replace(config, seed=seed_override)
     return config
@@ -264,6 +254,8 @@ def _paths(config: RunConfig) -> dict[str, Path]:
 def _load_dataset(config: RunConfig) -> list[ComposedObject]:
     path = _paths(config)["dataset"]
     _, rows = read_jsonl(path)
+    if not rows:
+        raise ArtifactError(f"{path}: dataset has no object rows")
     try:
         return [ComposedObject.from_dict(r) for r in rows]
     except (KeyError, TypeError, ValueError) as exc:
@@ -393,7 +385,7 @@ def cmd_oracle(config: RunConfig) -> None:
     for i, rec in enumerate(table.records):
         row = {
             "key": rec.key,
-            "actions": [dataclasses.asdict(a) | {"type": type(a).__name__} for a in rec.actions],
+            "actions": [action_to_dict(a) for a in rec.actions],
             "length": len(rec.actions),
             "reward": float(np.exp(rec.log_reward)),
             "p_target": float(target[i]),
@@ -425,10 +417,14 @@ def cmd_evaluate(config: RunConfig, samples_path: Path, table_path: Path) -> dic
     if not seq_rows:
         raise ArtifactError(f"{table_path}: oracle table has no sequence rows")
     try:
+        log_z_exact = float(summary["log_z_exact"])
         keys = [r["key"] for r in seq_rows]
-        target = np.array([r["p_target"] for r in seq_rows])
-    except KeyError as exc:
-        raise ArtifactError(f"{table_path}: sequence row without field {exc}") from None
+        target = np.array([float(r["p_target"]) for r in seq_rows])
+        p_model = None
+        if "p_model" in seq_rows[0]:
+            p_model = np.array([float(r["p_model"]) for r in seq_rows])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{table_path}: malformed oracle table: {type(exc).__name__}: {exc}") from None
 
     counts = dict.fromkeys(keys, 0)
     rewards = []
@@ -436,11 +432,11 @@ def cmd_evaluate(config: RunConfig, samples_path: Path, table_path: Path) -> dic
     for row in sample_rows:
         try:
             key = sequence_key(action_from_dict(a["action"]) for a in row["actions"])
-            reward = row["reward"]
-        except KeyError as exc:
-            raise ArtifactError(f"{samples_path}: sample row without field {exc}") from None
+            reward = float(row["reward"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArtifactError(f"{samples_path}: malformed sample row: {type(exc).__name__}: {exc}") from None
         if key not in counts:
-            raise OracleMismatch(f"sampled sequence {key} missing from oracle table")
+            raise InvariantError(f"sampled sequence {key} missing from oracle table")
         counts[key] += 1
         rewards.append(reward)
         lengths.append(len(row["actions"]))
@@ -454,27 +450,22 @@ def cmd_evaluate(config: RunConfig, samples_path: Path, table_path: Path) -> dic
         "length_histogram": {
             str(n): int(sum(1 for v in lengths if v == n)) for n in sorted(set(lengths))
         },
-        "log_z_exact": summary["log_z_exact"],
+        "log_z_exact": log_z_exact,
     }
-    if "p_model" in seq_rows[0]:
-        p_model = np.array([r["p_model"] for r in seq_rows])
+    if p_model is not None:
         report["tv_model_vs_target"] = oracle.tv_distance(p_model, target)
     paths = _paths(config)
     if paths["policy_ckpt"].exists():
         store, _ = ParamStore.load(paths["policy_ckpt"])
         log_z = float(store.get("log_Z"))
         report["log_z"] = log_z
-        report["log_z_error"] = abs(log_z - summary["log_z_exact"])
+        report["log_z_error"] = abs(log_z - log_z_exact)
     report["config_hash"] = config.config_hash()
     report["library_hash"] = config.library_hash()
     out = paths["evaluate"]
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return report
-
-
-class OracleMismatch(RuntimeError):
-    pass
 
 
 def cmd_gradcheck(config: RunConfig) -> dict:
@@ -610,14 +601,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except FileNotFoundError as exc:
         return _fail(EXIT_MISSING_FILE, "missing-file", str(exc))
-    except (ConfigError, ScheduleError, RuleError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_CONFIG, "invalid-config", str(exc))
-    except NumericalError as exc:
-        return _fail(EXIT_NUMERIC, "numeric", str(exc))
-    except (ArtifactError, NNError) as exc:
-        return _fail(EXIT_INVARIANT, "invalid-artifact", str(exc))
-    except (oracle.OracleError, OracleMismatch, CompositionError, LibraryValidationError) as exc:
-        return _fail(EXIT_INVARIANT, "invariant", str(exc))
+    except InvariantError as exc:
+        return _fail(exc.code, exc.kind, str(exc))
     except Exception as exc:  # pragma: no cover - last-resort diagnostics
         return _fail(EXIT_FAILURE, "internal", f"{type(exc).__name__}: {exc}")
 

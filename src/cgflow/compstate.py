@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import ArtifactError, ConfigError, InvariantError
 from .schedule import Schedule
 from .seeding import mix64
 
@@ -26,10 +27,6 @@ KINDS = ("brick", "linker")
 
 SIGMA_PRIOR = 1.0
 BOND_LENGTH = 1.0
-
-
-class CompositionError(ValueError):
-    """Raised for invalid synthons, transitions, or decompositions."""
 
 
 # ---------------------------------------------------------------------------
@@ -45,10 +42,10 @@ class AttachmentPoint:
 
     def __post_init__(self) -> None:
         if self.klass not in KLASSES:
-            raise CompositionError(f"unknown attachment klass {self.klass!r}")
+            raise ConfigError(f"unknown attachment klass {self.klass!r}")
         norm = float(np.hypot(*self.direction))
         if abs(norm - 1.0) > 1e-12:
-            raise CompositionError(
+            raise ConfigError(
                 f"attachment direction {self.direction} is not unit length (|d|={norm})"
             )
 
@@ -62,21 +59,21 @@ class Synthon:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise CompositionError(f"unknown synthon kind {self.kind!r}")
+            raise ConfigError(f"unknown synthon kind {self.kind!r}")
         m = len(self.points)
         if not 2 <= m <= 6:
-            raise CompositionError(f"synthon {self.id}: point count {m} outside [2, 6]")
+            raise ConfigError(f"synthon {self.id}: point count {m} outside [2, 6]")
         expected = 1 if self.kind == "brick" else 2
         if len(self.attachments) != expected:
-            raise CompositionError(
+            raise ConfigError(
                 f"synthon {self.id}: {self.kind} must have exactly {expected} attachment(s)"
             )
         indices = [a.point_index for a in self.attachments]
         if len(set(indices)) != len(indices):
-            raise CompositionError(f"synthon {self.id}: duplicate attachment point_index")
+            raise ConfigError(f"synthon {self.id}: duplicate attachment point_index")
         for idx in indices:
             if not 0 <= idx < m:
-                raise CompositionError(f"synthon {self.id}: attachment index {idx} out of range")
+                raise ConfigError(f"synthon {self.id}: attachment index {idx} out of range")
 
     @property
     def n_points(self) -> int:
@@ -96,7 +93,7 @@ class SynthonLibrary:
     def __post_init__(self) -> None:
         ids = [s.id for s in self.synthons]
         if len(set(ids)) != len(ids):
-            raise CompositionError("duplicate synthon ids in library")
+            raise ConfigError("duplicate synthon ids in library")
 
     def __iter__(self):
         return iter(self.synthons)
@@ -108,13 +105,13 @@ class SynthonLibrary:
         for s in self.synthons:
             if s.id == synthon_id:
                 return s
-        raise CompositionError(f"unknown synthon id {synthon_id!r}")
+        raise InvariantError(f"unknown synthon id {synthon_id!r}")
 
     def index_of(self, synthon_id: str) -> int:
         for i, s in enumerate(self.synthons):
             if s.id == synthon_id:
                 return i
-        raise CompositionError(f"unknown synthon id {synthon_id!r}")
+        raise InvariantError(f"unknown synthon id {synthon_id!r}")
 
     @property
     def bricks(self) -> tuple[Synthon, ...]:
@@ -211,7 +208,7 @@ def action_from_dict(doc: dict) -> ActionRef:
             synthon_id=str(doc["synthon_id"]),
             child_attachment=int(doc["child_attachment"]),
         )
-    raise CompositionError(f"unknown action type {doc['type']!r}")
+    raise ArtifactError(f"unknown action type {doc['type']!r}")
 
 
 def action_key(action: ActionRef) -> str:
@@ -267,7 +264,7 @@ class ComposedObject:
     ) -> "ComposedObject":
         new_states = tuple(np.array(s, dtype=np.float64) for s in states)
         if len(new_states) != len(self.components):
-            raise CompositionError("states list length must equal component count")
+            raise InvariantError("states list length must equal component count")
         cond = self.self_cond if self_cond is None else tuple(
             np.array(s, dtype=np.float64) for s in self_cond
         )
@@ -287,7 +284,6 @@ class ComposedObject:
             ],
             "states": [np.asarray(s).tolist() for s in self.states],
             "open_attachments": [list(o) for o in self.open_attachments],
-            "reward": None,
         }
         return doc
 
@@ -331,7 +327,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         if not np.isfinite([s.log_prob for s in self.actions]).all():
-            raise CompositionError("trajectory log-probs must be finite")
+            raise InvariantError("trajectory log-probs must be finite")
 
     @property
     def length(self) -> int:
@@ -379,23 +375,23 @@ def transition(
 ) -> ComposedObject:
     """Append the component named by ``action`` and draw its prior state."""
     if x.is_terminal:
-        raise CompositionError("transition on terminal object")
+        raise InvariantError("transition on terminal object")
     if len(x.components) >= sched.max_components:
-        raise CompositionError("transition beyond max_components")
+        raise InvariantError("transition beyond max_components")
 
     synthon = library.get(action.synthon_id)
     new_index = len(x.components)
     points_before = x.total_points(library)
     if p_max is not None and points_before + synthon.n_points > p_max:
-        raise CompositionError(
+        raise InvariantError(
             f"point budget exceeded: {points_before} + {synthon.n_points} > {p_max}"
         )
 
     if isinstance(action, FirstSynthon):
         if not x.is_empty:
-            raise CompositionError("FirstSynthon only applies to the empty object")
+            raise InvariantError("FirstSynthon only applies to the empty object")
         if synthon.kind != "brick":
-            raise CompositionError("first component must be a brick")
+            raise InvariantError("first component must be a brick")
         instance = ComponentInstance(
             synthon_id=synthon.id,
             parent_component=None,
@@ -408,12 +404,12 @@ def transition(
     else:
         ref = (action.parent_component, action.parent_attachment)
         if ref not in x.open_attachments:
-            raise CompositionError(f"attachment {ref} is not open")
+            raise InvariantError(f"attachment {ref} is not open")
         parent = x.components[action.parent_component]
         parent_klass = library.get(parent.synthon_id).attachments[action.parent_attachment].klass
         child_klass = synthon.attachments[action.child_attachment].klass
         if not complementary(parent_klass, child_klass):
-            raise CompositionError(
+            raise InvariantError(
                 f"incompatible attachment klasses {parent_klass}/{child_klass}"
             )
         instance = ComponentInstance(
@@ -483,13 +479,13 @@ def ground_truth_layout(
         pts = synthon.points_array()
         if i == 0:
             if synthon.kind != "brick":
-                raise CompositionError("first component must be a brick")
+                raise InvariantError("first component must be a brick")
             rot = np.eye(2)
             placed = pts.copy()
             shift = np.zeros(2)
         else:
             if comp.parent_component is None or comp.parent_component >= i:
-                raise CompositionError("components must reference an earlier parent")
+                raise InvariantError("components must reference an earlier parent")
             parent = components[comp.parent_component]
             parent_synthon = library.get(parent.synthon_id)
             p_att = parent_synthon.attachments[comp.parent_attachment]
@@ -536,7 +532,7 @@ def valid_orders(x: ComposedObject, library: SynthonLibrary) -> list[tuple[int, 
     """All construction orders: brick first, every later component bonded to the prefix."""
     n = len(x.components)
     if n == 0:
-        raise CompositionError("cannot order an empty object")
+        raise InvariantError("cannot order an empty object")
     adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
     for p, c, _, _ in _bonds(x):
         adjacency[p].add(c)

@@ -19,7 +19,6 @@ from .compstate import (
     ActionRef,
     AddSynthon,
     ComposedObject,
-    CompositionError,
     EMPTY_OBJECT,
     FirstSynthon,
     SynthonLibrary,
@@ -27,16 +26,9 @@ from .compstate import (
     ground_truth_layout,
     transition,
 )
+from .errors import ConfigError, InvariantError
 from .schedule import Schedule
 from .seeding import rng_from
-
-
-class RuleError(ValueError):
-    pass
-
-
-class LibraryValidationError(RuleError):
-    """A reachable nonterminal state has no legal action (dead end)."""
 
 
 @dataclass(frozen=True)
@@ -47,11 +39,11 @@ class RuleSet:
 
     def __post_init__(self) -> None:
         if self.min_len < 2:
-            raise RuleError(f"min_len must be >= 2, got {self.min_len}")
+            raise ConfigError(f"min_len must be >= 2, got {self.min_len}")
         if self.max_len < self.min_len:
-            raise RuleError(f"max_len {self.max_len} < min_len {self.min_len}")
+            raise ConfigError(f"max_len {self.max_len} < min_len {self.min_len}")
         if self.p_max < 1:
-            raise RuleError("p_max must be positive")
+            raise ConfigError("p_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -63,11 +55,11 @@ class RewardParams:
 
     def __post_init__(self) -> None:
         if not self.anchors:
-            raise RuleError("anchors must be non-empty")
+            raise ConfigError("anchors must be non-empty")
         if self.temperature <= 0:
-            raise RuleError("temperature must be positive")
+            raise ConfigError("temperature must be positive")
         if self.beta < 1:
-            raise RuleError("beta must be >= 1")
+            raise ConfigError("beta must be >= 1")
 
     def anchors_array(self) -> np.ndarray:
         return np.asarray(self.anchors, dtype=np.float64)
@@ -82,7 +74,7 @@ def action_space(
     order, then attachment slots; FirstSynthon actions follow library order.
     """
     if x.is_terminal:
-        raise RuleError("no actions on a terminal object")
+        raise InvariantError("no actions on a terminal object")
     if x.is_empty:
         return [
             FirstSynthon(synthon_id=s.id)
@@ -141,11 +133,11 @@ def validate_library(
     """Exhaustively prove no reachable dead ends under the masking rules."""
     state_cap = 100_000
     if rules.max_len > sched.max_components:
-        raise LibraryValidationError(
+        raise ConfigError(
             f"max_len {rules.max_len} exceeds schedule max_components {sched.max_components}"
         )
     if not library.bricks:
-        raise LibraryValidationError("library has no bricks: empty initial action space")
+        raise ConfigError("library has no bricks: empty initial action space")
     frontier: list[ComposedObject] = [EMPTY_OBJECT]
     seen: set[tuple] = set()
     visited = 0
@@ -153,17 +145,17 @@ def validate_library(
         x = frontier.pop()
         visited += 1
         if visited > state_cap:
-            raise LibraryValidationError(f"reachability search exceeded {state_cap} states")
+            raise ConfigError(f"reachability search exceeded {state_cap} states")
         if x.is_terminal:
             continue
         if len(x.components) == rules.max_len:
-            raise LibraryValidationError(
+            raise ConfigError(
                 "reachable state at max_len is not terminal: "
                 f"{[c.synthon_id for c in x.components]}"
             )
         actions = action_space(x, rules, library)
         if not actions:
-            raise LibraryValidationError(
+            raise ConfigError(
                 f"dead end at {[c.synthon_id for c in x.components]} "
                 f"(opens={x.open_attachments}, points={x.total_points(library)})"
             )
@@ -182,9 +174,9 @@ def log_reward(x: ComposedObject, params: RewardParams, library: SynthonLibrary)
     where ``exp`` would underflow.
     """
     if not x.is_terminal:
-        raise RuleError("reward requires a terminal object")
+        raise InvariantError("reward requires a terminal object")
     if len(x.states) != len(x.components) or any(s is None for s in x.states):
-        raise RuleError("reward requires states for all components")
+        raise InvariantError("reward requires states for all components")
     pts = np.concatenate([np.asarray(s, dtype=np.float64) for s in x.states], axis=0)
     anchors = params.anchors_array()
     d2 = ((pts[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
@@ -220,7 +212,7 @@ def generate_object(
     while not x.is_terminal:
         actions = action_space(x, rules, library)
         if not actions:
-            raise CompositionError("dead end during generation; library not validated?")
+            raise InvariantError("dead end during generation; library not validated?")
         action = actions[int(rng.integers(len(actions)))]
         x = transition(x, action, library, sched, global_seed=build_seed, p_max=rules.p_max)
     layout = ground_truth_layout(x.components, library)
@@ -238,7 +230,7 @@ def generate_dataset(
 ) -> list[ComposedObject]:
     """Objects built by uniform random legal actions, laid out and jittered."""
     if n < 1:
-        raise RuleError("dataset size must be >= 1")
+        raise ConfigError("dataset size must be >= 1")
     out = []
     for i in range(n):
         rng = rng_from(global_seed, "dataset", i)

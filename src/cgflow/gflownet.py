@@ -29,6 +29,7 @@ from .compstate import (
     transition,
 )
 from .domain import RewardParams, RuleSet, action_space, log_reward
+from .errors import ConfigError, InvariantError, NumericalError
 from .nn import Eval, ParamStore, Tape, adam_step, mlp_apply, register_mlp
 from .schedule import Schedule, action_steps
 from .seeding import rng_from
@@ -40,14 +41,6 @@ from .stateflow import (
     featurize_points,
     interpolate,
 )
-
-
-class PolicyError(ValueError):
-    pass
-
-
-class DataPipelineError(RuntimeError):
-    """A dataset-derived ground-truth action is not in the legal set."""
 
 
 KLASS_PAIRS = (("alpha", "alpha"), ("alpha", "beta"), ("beta", "alpha"), ("beta", "beta"))
@@ -136,7 +129,7 @@ def policy_distribution(
     node is None.
     """
     if not actions:
-        raise PolicyError("policy_distribution requires a non-empty action list")
+        raise InvariantError("policy_distribution requires a non-empty action list")
     ops = Eval(model.store) if tape is None else tape
     logp_node = ops.log_softmax(model.logits(ops, x, t_step, actions))
     logp = ops.value(logp_node)
@@ -261,7 +254,7 @@ def sample_trajectory(
             node = memo[prefix] = PrefixNode(child)
         x = node.child
     if not x.is_terminal:
-        raise PolicyError("trajectory ended on a non-terminal object")
+        raise InvariantError("trajectory ended on a non-terminal object")
     if node.log_reward is None:
         node.log_reward = log_reward(x, reward_params, library)
     log_r = node.log_reward
@@ -282,7 +275,7 @@ def sample_trajectory(
 def tb_loss_node(tape: Tape, sampled: SampledTrajectory) -> int:
     """(log_Z + sum log P_F - log R)^2 for one taped trajectory."""
     if not np.isfinite(sampled.log_reward):
-        raise PolicyError(f"trajectory balance requires finite log-reward, got {sampled.log_reward}")
+        raise NumericalError(f"trajectory balance requires finite log-reward, got {sampled.log_reward}")
     total = tape.param("log_Z")
     for logp_node, idx in sampled.logp_nodes:
         total = tape.add(total, tape.pick(logp_node, idx))
@@ -320,7 +313,7 @@ def ce_batch(
             try:
                 idx = actions.index(truth)
             except ValueError as exc:
-                raise DataPipelineError(
+                raise InvariantError(
                     f"ground-truth action {truth} not in legal set at step {i}"
                 ) from exc
             items.append((x_t, t_step, actions, idx))
@@ -334,7 +327,7 @@ def ce_loss_node(
 ) -> int:
     """Mean negative log-probability of the ground-truth actions."""
     if not items:
-        raise PolicyError("ce_loss on an empty batch")
+        raise InvariantError("ce_loss on an empty batch")
     total = None
     for x_t, t_step, actions, idx in items:
         _, _, logp_node = policy_distribution(policy, x_t, t_step, actions, tape=tape)
@@ -366,7 +359,7 @@ class PolicyHyper:
 
     def __post_init__(self) -> None:
         if self.objective not in ("tb", "ce"):
-            raise PolicyError(f"objective must be tb or ce, got {self.objective!r}")
+            raise ConfigError(f"objective must be tb or ce, got {self.objective!r}")
 
 
 def train_policy_tb(

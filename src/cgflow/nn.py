@@ -24,15 +24,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .errors import ArtifactError, InvariantError, NumericalError
+
 CHECKPOINT_MAGIC = b"CGFW1"
-
-
-class NNError(ValueError):
-    pass
-
-
-class NumericalError(RuntimeError):
-    """NaN/Inf encountered; message names the offending tensor or step."""
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +54,7 @@ class ParamStore:
 
     def register(self, name: str, value: np.ndarray) -> None:
         if name in self._tensors:
-            raise NNError(f"tensor {name!r} already registered")
+            raise InvariantError(f"tensor {name!r} already registered")
         arr = np.array(value, dtype=np.float64)
         self._tensors[name] = arr
         self._m[name] = np.zeros_like(arr)
@@ -76,7 +70,7 @@ class ParamStore:
         current = self._tensors[name]
         arr = np.asarray(value, dtype=np.float64)
         if arr.shape != current.shape:
-            raise NNError(f"shape mismatch for {name!r}: {arr.shape} != {current.shape}")
+            raise InvariantError(f"shape mismatch for {name!r}: {arr.shape} != {current.shape}")
         self._tensors[name] = arr.copy()
 
     def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -117,16 +111,16 @@ class ParamStore:
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["ParamStore", dict]:
-        """Read a checkpoint; a truncated, padded or corrupt file raises NNError."""
+        """Read a checkpoint; a truncated, padded or corrupt file raises ArtifactError."""
         data = Path(path).read_bytes()
         if data[:5] != CHECKPOINT_MAGIC:
-            raise NNError(f"{path}: bad checkpoint magic {data[:5]!r}")
+            raise ArtifactError(f"{path}: bad checkpoint magic {data[:5]!r}")
         offset = 5
 
         def take(n: int) -> bytes:
             nonlocal offset
             if offset + n > len(data):
-                raise NNError(f"{path}: checkpoint truncated at byte {len(data)}")
+                raise ArtifactError(f"{path}: checkpoint truncated at byte {len(data)}")
             chunk = data[offset : offset + n]
             offset += n
             return chunk
@@ -138,7 +132,7 @@ class ParamStore:
             try:
                 return take(n).decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise NNError(f"{path}: corrupt checkpoint text: {exc}") from None
+                raise ArtifactError(f"{path}: corrupt checkpoint text: {exc}") from None
 
         def f64(shape: tuple[int, ...]) -> np.ndarray:
             return np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
@@ -146,6 +140,8 @@ class ParamStore:
         store = cls()
         for _ in range(u32()):
             name = text(u32())
+            if name in store._tensors:
+                raise ArtifactError(f"{path}: tensor {name!r} stored twice")
             dims = tuple(struct.unpack("<Q", take(8))[0] for _ in range(u32()))
             store.register(name, f64(dims))
         store.step = struct.unpack("<Q", take(8))[0]
@@ -155,11 +151,11 @@ class ParamStore:
         try:
             meta = json.loads(text(u32()))
         except json.JSONDecodeError as exc:
-            raise NNError(f"{path}: corrupt checkpoint provenance: {exc}") from None
+            raise ArtifactError(f"{path}: corrupt checkpoint provenance: {exc}") from None
         if offset != len(data):
-            raise NNError(f"{path}: {len(data) - offset} trailing bytes after checkpoint")
+            raise ArtifactError(f"{path}: {len(data) - offset} trailing bytes after checkpoint")
         if not isinstance(meta, dict):
-            raise NNError(f"{path}: checkpoint provenance is not a JSON object")
+            raise ArtifactError(f"{path}: checkpoint provenance is not a JSON object")
         return store, meta
 
 
@@ -235,7 +231,7 @@ class Tape:
 
     def param(self, name: str) -> int:
         if self.store is None:
-            raise NNError("tape has no parameter store")
+            raise InvariantError("tape has no parameter store")
         if name not in self._param_leaf:
             node = self._push(self.store.get(name), (), None, param_name=name)
             self._param_leaf[name] = node
@@ -364,7 +360,7 @@ class Tape:
 
     def backward(self, loss: int) -> dict[str, np.ndarray]:
         if self.value(loss).ndim != 0:
-            raise NNError("backward requires a scalar loss node")
+            raise InvariantError("backward requires a scalar loss node")
         grads: list[np.ndarray | None] = [None] * (loss + 1)
         grads[loss] = np.asarray(1.0)
         param_grads: dict[str, np.ndarray] = {}

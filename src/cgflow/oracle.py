@@ -23,13 +23,10 @@ from .compstate import (
     transition,
 )
 from .domain import RewardParams, RuleSet, action_space, log_reward
+from .errors import InvariantError
 from .gflownet import PolicyModel, next_decision_step, policy_distribution
 from .schedule import Schedule
 from .stateflow import StateFlowModel, euler_rollout
-
-
-class OracleError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -82,7 +79,7 @@ def _enumerate_bfs_keys(
         if x.is_terminal:
             done.add(sequence_key(actions))
             if len(done) > cap:
-                raise OracleError(f"sequence enumeration exceeded {cap}")
+                raise InvariantError(f"sequence enumeration exceeded {cap}")
             continue
         for action in action_space(x, rules, library):
             child = transition(x, action, library, sched, global_seed=0, p_max=rules.p_max)
@@ -113,11 +110,11 @@ def enumerate_sequences(
             log_r = log_reward(x, reward_params, library)
             records.append(SequenceRecord(sequence_key(actions), actions, prefix, x, log_r))
             if len(records) > cap:
-                raise OracleError(f"sequence enumeration exceeded {cap}")
+                raise InvariantError(f"sequence enumeration exceeded {cap}")
             return
         space = tuple(action_space(x, rules, library))
         if not space:
-            raise OracleError("non-terminal state with empty action space")
+            raise InvariantError("non-terminal state with empty action space")
         decisions[prefix] = Decision(x, step, space)
         for idx, action in enumerate(space):
             child = transition(x, action, library, sched, global_seed, p_max=rules.p_max)
@@ -131,7 +128,7 @@ def enumerate_sequences(
     bfs_keys = _enumerate_bfs_keys(rules, sched, library, cap)
     dfs_keys = {r.key for r in records}
     if bfs_keys != dfs_keys:
-        raise OracleError(
+        raise InvariantError(
             "DFS/BFS enumeration mismatch: "
             f"{sorted(dfs_keys ^ bfs_keys)[:5]} differ"
         )
@@ -151,7 +148,7 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
-        raise OracleError(f"TV distance over mismatched supports: {p.shape} vs {q.shape}")
+        raise InvariantError(f"TV distance over mismatched supports: {p.shape} vs {q.shape}")
     return float(0.5 * np.abs(p - q).sum())
 
 
@@ -186,7 +183,7 @@ def model_distribution(
     probs = np.exp(sequence_log_probs(policy, table))
     total = probs.sum()
     if abs(total - 1.0) > tol:
-        raise OracleError(
+        raise InvariantError(
             f"model distribution sums to {total!r}; masking does not cover the space"
         )
     return probs

@@ -10,18 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import ConfigError
+
 INTEGRATOR_MODES = ("paper", "rectified")
-
-
-class ScheduleError(ValueError):
-    """Raised when a schedule's parameters violate the grid invariants."""
 
 
 def _as_exact_steps(value: float, n_steps: int, what: str) -> int:
     steps = value * n_steps
     rounded = round(steps)
     if abs(steps - rounded) > 1e-9 or rounded < 1:
-        raise ScheduleError(
+        raise ConfigError(
             f"{what}={value} does not land on the step grid (n_steps={n_steps}, "
             f"{what}*n_steps={steps})"
         )
@@ -48,21 +46,21 @@ class Schedule:
 
     def __post_init__(self) -> None:
         if self.n_steps < 1:
-            raise ScheduleError(f"n_steps must be positive, got {self.n_steps}")
+            raise ConfigError(f"n_steps must be positive, got {self.n_steps}")
         if self.max_components < 1:
-            raise ScheduleError(f"max_components must be positive, got {self.max_components}")
+            raise ConfigError(f"max_components must be positive, got {self.max_components}")
         if not 0.0 < self.lam <= 1.0:
-            raise ScheduleError(f"lambda must lie in (0, 1], got {self.lam}")
+            raise ConfigError(f"lambda must lie in (0, 1], got {self.lam}")
         if not 0.0 < self.t_window <= 1.0:
-            raise ScheduleError(f"t_window must lie in (0, 1], got {self.t_window}")
+            raise ConfigError(f"t_window must lie in (0, 1], got {self.t_window}")
         if self.integrator_mode not in INTEGRATOR_MODES:
-            raise ScheduleError(f"integrator_mode must be one of {INTEGRATOR_MODES}")
+            raise ConfigError(f"integrator_mode must be one of {INTEGRATOR_MODES}")
         object.__setattr__(self, "lam_steps", _as_exact_steps(self.lam, self.n_steps, "lambda"))
         object.__setattr__(self, "window_steps", _as_exact_steps(self.t_window, self.n_steps, "t_window"))
         # lambda <= 1 / max_components, checked exactly on the grid: it keeps
         # every generation time at or below 1 - lambda.
         if self.lam_steps * self.max_components > self.n_steps:
-            raise ScheduleError(
+            raise ConfigError(
                 f"lambda={self.lam} too large for max_components={self.max_components}: "
                 f"need lambda <= 1/{self.max_components}"
             )

@@ -24,21 +24,17 @@ import numpy as np
 
 from .compstate import (
     ComposedObject,
-    CompositionError,
     PlanStep,
     SynthonLibrary,
     decompose,
     replay_actions,
 )
-from .nn import Eval, NumericalError, ParamStore, Tape, adam_step, mlp_apply, register_mlp
+from .errors import InvariantError, NumericalError
+from .nn import Eval, ParamStore, Tape, adam_step, mlp_apply, register_mlp
 from .schedule import Schedule, kappa, t_end_step, t_local_from_steps
 from .seeding import rng_from
 
 HIDDEN = 64
-
-
-class StateFlowError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +62,7 @@ def featurize_points(
     try:
         blocks = [roles[comp.synthon_id] for comp in x.components]
     except KeyError as exc:
-        raise CompositionError(f"unknown synthon id {exc.args[0]!r}") from None
+        raise InvariantError(f"unknown synthon id {exc.args[0]!r}") from None
     mc = sched.max_components
     feats = np.zeros((sum(b.shape[0] for b in blocks), feature_dim(sched)))
     slices: list[tuple[int, int]] = []
@@ -155,10 +151,10 @@ def interpolate(
     """
     if sample_seed is None:
         if rng is None:
-            raise StateFlowError("interpolate needs an rng or an explicit sample_seed")
+            raise InvariantError("interpolate needs an rng or an explicit sample_seed")
         sample_seed = int(rng.integers(1 << 63))
     if sigma > 0 and rng is None:
-        raise StateFlowError("sigma > 0 requires an rng")
+        raise InvariantError("sigma > 0 requires an rng")
 
     k = sum(1 for i in range(len(plan)) if i * sched.lam_steps < t_step)
     x = replay_actions([s.action for s in plan[:k]], library, sched, sample_seed)
@@ -187,7 +183,7 @@ def interpolate(
 def state_loss(model: StateFlowModel, tape: Tape, batch: list[NoisySample]) -> int:
     """Mean over the batch of summed squared clean-state errors."""
     if not batch:
-        raise StateFlowError("state_loss on an empty batch")
+        raise InvariantError("state_loss on an empty batch")
     total: int | None = None
     for sample in batch:
         if not sample.targets:
@@ -199,7 +195,7 @@ def state_loss(model: StateFlowModel, tape: Tape, batch: list[NoisySample]) -> i
         sq = tape.sum_all(tape.mul(diff, diff))
         total = sq if total is None else tape.add(total, sq)
     if total is None:
-        raise StateFlowError("state_loss batch has no generated components")
+        raise InvariantError("state_loss batch has no generated components")
     return tape.scale(total, 1.0 / len(batch))
 
 
@@ -231,7 +227,7 @@ def euler_rollout(
     objects are shared between callers, so their arrays are read-only.
     """
     if not from_step <= to_step <= sched.n_steps:
-        raise StateFlowError(f"invalid rollout interval [{from_step}, {to_step}]")
+        raise InvariantError(f"invalid rollout interval [{from_step}, {to_step}]")
     if cache is None:
         return _integrate(x, model, sched, from_step, to_step, snap)
     key = (
@@ -335,7 +331,7 @@ def train_stateflow(
     otherwise the noisy states themselves are fed back.
     """
     if not dataset:
-        raise StateFlowError("empty dataset")
+        raise InvariantError("empty dataset")
     model = StateFlowModel.create(sched, library, seed=run_seed)
     rng = rng_from(run_seed, "train-stateflow")
     metrics: list[dict] = []

@@ -6,16 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgflow.cli import (
-    EXIT_CONFIG,
-    EXIT_INVARIANT,
-    EXIT_MISSING_FILE,
-    ArtifactError,
-    RunConfig,
-    load_config,
-    main,
-    read_jsonl,
-)
+from cgflow.cli import RunConfig, load_config, main, read_jsonl
+from cgflow.compstate import default_library_bytes
+from cgflow.errors import EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISSING_FILE, ArtifactError
 
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
@@ -25,8 +18,7 @@ def default_config_dict() -> dict:
     return json.loads(DEFAULT_CONFIG.read_text(encoding="utf-8"))
 
 
-@pytest.fixture()
-def tiny_config(tmp_path):
+def tiny_config_dict() -> dict:
     doc = default_config_dict()
     doc["dataset_size"] = 60
     doc["stateflow"]["iters"] = 12
@@ -34,8 +26,13 @@ def tiny_config(tmp_path):
     doc["policy"]["iters"] = 8
     doc["policy"]["batch"] = 4
     doc["paths"]["out_dir"] = "out"
+    return doc
+
+
+@pytest.fixture()
+def tiny_config(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc, indent=2))
+    path.write_text(json.dumps(tiny_config_dict(), indent=2))
     return path
 
 
@@ -283,3 +280,97 @@ class TestGradcheckCommand:
         assert report["pass"] is True
         assert set(report["max_rel_err"]) == {"state_loss", "tb_loss", "ce_loss"}
         assert all(v < 1e-4 for v in report["max_rel_err"].values())
+
+
+# -- one row per kind of failure: each setup edits the tiny config document,
+#    writes the files the command reads under tmp_path and returns the
+#    config file's bytes
+
+META = '{"record": "meta"}\n'
+TABLE_ROW = '{"key": "F(b2a)", "p_target": 1.0}\n'
+SUMMARY = '{"record": "summary", "log_z_exact": 0.0}\n'
+
+
+def config_bytes(doc) -> bytes:
+    return json.dumps(doc).encode("utf-8")
+
+
+def empty_dataset(objective):
+    def setup(tmp_path, doc):
+        doc["policy"]["objective"] = objective
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "dataset.jsonl").write_text(META)
+        return config_bytes(doc)
+
+    return setup
+
+
+def evaluate_inputs(samples, table):
+    def setup(tmp_path, doc):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "samples.jsonl").write_text(META + samples)
+        (tmp_path / "out" / "oracle.jsonl").write_text(META + table + SUMMARY)
+        return config_bytes(doc)
+
+    return setup
+
+
+def edited_library(edit):
+    def setup(tmp_path, doc):
+        library = json.loads(default_library_bytes())
+        library["synthons"] = edit(library["synthons"])
+        (tmp_path / "library.json").write_text(json.dumps(library))
+        doc["library"] = "library.json"
+        return config_bytes(doc)
+
+    return setup
+
+
+FAILURES = {
+    "empty-dataset-train-stateflow": (
+        "train-stateflow", empty_dataset("tb"), EXIT_INVARIANT, "invalid-artifact"),
+    "empty-dataset-ce-train-policy": (
+        "train-policy", empty_dataset("ce"), EXIT_INVARIANT, "invalid-artifact"),
+    "evaluate-action-not-object": (
+        "evaluate", evaluate_inputs('{"actions": [{"action": 3}]}\n', TABLE_ROW),
+        EXIT_INVARIANT, "invalid-artifact"),
+    "evaluate-unknown-action-type": (
+        "evaluate", evaluate_inputs('{"actions": [{"action": {"type": "jump"}}], "reward": 1.0}\n', TABLE_ROW),
+        EXIT_INVARIANT, "invalid-artifact"),
+    "evaluate-p_target-not-numeric": (
+        "evaluate", evaluate_inputs("", '{"key": "F(b2a)", "p_target": "x"}\n'),
+        EXIT_INVARIANT, "invalid-artifact"),
+    "evaluate-p_target-null": (
+        "evaluate", evaluate_inputs("", '{"key": "F(b2a)", "p_target": null}\n'),
+        EXIT_INVARIANT, "invalid-artifact"),
+    "evaluate-p_model-missing-in-later-row": (
+        "evaluate",
+        evaluate_inputs("", '{"key": "F(b2a)", "p_target": 0.5, "p_model": 0.5}\n{"key": "F(b3a)", "p_target": 0.5}\n'),
+        EXIT_INVARIANT, "invalid-artifact"),
+    # evaluate reads the first summary record
+    "evaluate-summary-without-log_z_exact": (
+        "evaluate", evaluate_inputs("", TABLE_ROW + '{"record": "summary"}\n'), EXIT_INVARIANT, "invalid-artifact"),
+    "evaluate-sample-not-in-table": (
+        "evaluate",
+        evaluate_inputs('{"actions": [{"action": {"type": "first", "synthon_id": "b3a"}}], "reward": 1.0}\n', TABLE_ROW),
+        EXIT_INVARIANT, "invariant"),
+    "library-synthon-without-attachments": (
+        "gen-data",
+        edited_library(lambda s: [{k: v for k, v in s[0].items() if k != "attachments"}, *s[1:]]),
+        EXIT_CONFIG, "invalid-config"),
+    "library-synthon-kind-blob": (
+        "gen-data", edited_library(lambda s: [{**s[0], "kind": "blob"}, *s[1:]]), EXIT_CONFIG, "invalid-config"),
+    # only the two alpha bricks: nothing can attach to the first component
+    "dead-end-library": ("gen-data", edited_library(lambda s: s[:2]), EXIT_CONFIG, "invalid-config"),
+    "non-utf8-config": ("gen-data", lambda tmp_path, doc: b"\xff" + config_bytes(doc), EXIT_CONFIG, "invalid-config"),
+}
+
+
+class TestFailureCodes:
+    @pytest.mark.parametrize("command, setup, code, kind", FAILURES.values(), ids=FAILURES.keys())
+    def test_exit_code_and_kind(self, tmp_path, capsys, command, setup, code, kind):
+        path = tmp_path / "config.json"
+        path.write_bytes(setup(tmp_path, tiny_config_dict()))
+        assert run([command, "--config", path]) == code
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (record["error"]["code"], record["error"]["kind"]) == (code, kind)

@@ -7,7 +7,6 @@ from cgflow.compstate import (
     AddSynthon,
     AttachmentPoint,
     ComposedObject,
-    CompositionError,
     EMPTY_OBJECT,
     FirstSynthon,
     Synthon,
@@ -21,6 +20,7 @@ from cgflow.compstate import (
     valid_orders,
 )
 from cgflow.domain import RuleSet, action_space, generate_dataset
+from cgflow.errors import ConfigError, InvariantError
 
 
 def recorded_actions(x):
@@ -38,23 +38,23 @@ def build(actions, library, sched, seed=0):
 
 class TestSynthonValidation:
     def test_direction_must_be_unit(self):
-        with pytest.raises(CompositionError):
+        with pytest.raises(ConfigError):
             AttachmentPoint(point_index=0, klass="alpha", direction=(1.0, 1.0))
 
     def test_brick_needs_one_attachment(self):
         att = AttachmentPoint(0, "alpha", (1.0, 0.0))
-        with pytest.raises(CompositionError):
+        with pytest.raises(ConfigError):
             Synthon(id="x", kind="brick", points=((0, 0), (1, 0)), attachments=(att, att))
 
     def test_linker_needs_two_attachments(self):
         att = AttachmentPoint(0, "alpha", (1.0, 0.0))
-        with pytest.raises(CompositionError):
+        with pytest.raises(ConfigError):
             Synthon(id="x", kind="linker", points=((0, 0), (1, 0)), attachments=(att,))
 
     def test_duplicate_attachment_index_rejected(self):
         a1 = AttachmentPoint(0, "alpha", (1.0, 0.0))
         a2 = AttachmentPoint(0, "beta", (-1.0, 0.0))
-        with pytest.raises(CompositionError):
+        with pytest.raises(ConfigError):
             Synthon(id="x", kind="linker", points=((0, 0), (1, 0)), attachments=(a1, a2))
 
     def test_default_library_composition(self, library):
@@ -91,18 +91,18 @@ class TestTransition:
 
     def test_terminal_rejects_transition(self, library, sched):
         x = build([FirstSynthon("b2a"), AddSynthon(0, 0, "b2b", 0)], library, sched)
-        with pytest.raises(CompositionError):
+        with pytest.raises(InvariantError):
             transition(x, AddSynthon(0, 0, "b2b", 0), library, sched, global_seed=1)
 
     def test_incompatible_klasses_rejected(self, library, sched):
         x = build([FirstSynthon("b2a")], library, sched)
         # b2a's open attachment is alpha; b2a's own attachment is also alpha
-        with pytest.raises(CompositionError):
+        with pytest.raises(InvariantError):
             transition(x, AddSynthon(0, 0, "b2a", 0), library, sched, global_seed=1)
 
     def test_point_budget_enforced(self, library, sched):
         x = build([FirstSynthon("b2a")], library, sched)
-        with pytest.raises(CompositionError):
+        with pytest.raises(InvariantError):
             transition(x, AddSynthon(0, 0, "b2b", 0), library, sched, global_seed=1, p_max=3)
 
     def test_t_gen_steps_follow_schedule(self, library, sched):

@@ -14,15 +14,14 @@ from cgflow.compstate import (
     transition,
 )
 from cgflow.domain import (
-    LibraryValidationError,
     RewardParams,
-    RuleError,
     RuleSet,
     action_space,
     generate_dataset,
     reward,
     validate_library,
 )
+from cgflow.errors import ConfigError, InvariantError
 from cgflow.schedule import Schedule
 
 
@@ -69,7 +68,7 @@ class TestActionSpace:
 
     def test_terminal_state_has_no_actions(self, library, rules, sched):
         x = replay_actions([FirstSynthon("b2a"), AddSynthon(0, 0, "b2b", 0)], library, sched, 0)
-        with pytest.raises(RuleError):
+        with pytest.raises(InvariantError):
             action_space(x, rules, library)
 
     def test_min_len_blocks_early_termination(self, library, sched):
@@ -81,7 +80,7 @@ class TestActionSpace:
         assert {library.get(a.synthon_id).kind for a in actions} == {"linker"}
 
     def test_dead_end_budget_rejected_at_validation(self, library, sched):
-        with pytest.raises(LibraryValidationError):
+        with pytest.raises(ConfigError):
             validate_library(library, RuleSet(p_max=5), sched)
 
     def test_default_config_validates(self, library, rules, sched):
@@ -152,7 +151,7 @@ class TestReward:
 
     def test_nonterminal_rejected(self, library, sched, reward_params):
         x = replay_actions([FirstSynthon("b2a")], library, sched, 0)
-        with pytest.raises(RuleError):
+        with pytest.raises(InvariantError):
             reward(x, reward_params, library)
 
     def test_strictly_positive(self, library, sched, reward_params, rng):

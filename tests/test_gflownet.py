@@ -13,7 +13,6 @@ from cgflow.compstate import (
 )
 from cgflow.domain import RuleSet, action_space, generate_dataset
 from cgflow.gflownet import (
-    DataPipelineError,
     PolicyHyper,
     PolicyModel,
     PrefixNode,

@@ -1,5 +1,6 @@
-"""Source hygiene checks that need no linter: every import is used, and
-every parameter default of the package is overridden by some call."""
+"""Source hygiene checks that need no linter: every import is used, every
+parameter default of the package is overridden by some call, and every
+``raise`` names a class of the failure taxonomy."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from cgflow import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cgflow"
@@ -111,3 +114,37 @@ def test_detects_dead_parameter():
         "mod.py:4 K(y)",
         "mod.py:6 m(z)",
     ]
+
+
+# the classes of cgflow.errors, and the one builtin the CLI maps to exit 3
+RAISABLE = {name for name, v in vars(errors).items() if isinstance(v, type)} | {"FileNotFoundError"}
+
+
+def foreign_raises(source: str) -> list[str]:
+    """``raise`` statements whose class is not in ``RAISABLE``; a bare
+    re-raise names no class and is reported too."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "id", None) or getattr(exc, "attr", None) or "bare raise"
+            if name not in RAISABLE:
+                out.append(f"{name} (line {node.lineno})")
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_raises_name_error_classes(path):
+    assert foreign_raises(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_foreign_raise():
+    source = (
+        "def f(x):\n"
+        "    if x:\n        raise ConfigError('a')\n"
+        "    if x > 1:\n        raise errors.ArtifactError\n"
+        "    try:\n        raise KeyError(x)\n"
+        "    except KeyError:\n        raise\n"
+        "    raise StateFlowError('b')\n"
+    )
+    assert foreign_raises(source) == ["KeyError (line 7)", "StateFlowError (line 10)", "bare raise (line 9)"]

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cgflow.errors import ArtifactError, InvariantError, NumericalError
 from cgflow.nn import (
     Eval,
-    NNError,
-    NumericalError,
     ParamStore,
     Tape,
     adam_step,
@@ -135,7 +134,7 @@ class TestTapeOps:
         store = make_store(rng, {"w": (3, 3)})
         tape = Tape(store)
         node = tape.affine(tape.const(rng.normal(size=3)), tape.param("w"))
-        with pytest.raises(NNError):
+        with pytest.raises(InvariantError):
             tape.backward(node)
 
     def test_log_softmax_normalizes(self, rng):
@@ -265,7 +264,7 @@ class TestCheckpoint:
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTCK" + b"\x00" * 16)
-        with pytest.raises(NNError):
+        with pytest.raises(ArtifactError):
             ParamStore.load(path)
 
     @staticmethod
@@ -277,32 +276,42 @@ class TestCheckpoint:
         store.save(path, meta={"config_hash": "abc"})
         return path.read_bytes()
 
-    def test_every_truncation_raises_nnerror(self, tmp_path):
+    def test_every_truncation_raises_artifact_error(self, tmp_path):
         data = self._small_checkpoint(tmp_path)
         path = tmp_path / "cut.ckpt"
         for cut in range(len(data)):
             path.write_bytes(data[:cut])
-            with pytest.raises(NNError):
+            with pytest.raises(ArtifactError):
                 ParamStore.load(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "padded.ckpt"
         path.write_bytes(self._small_checkpoint(tmp_path) + b"\x00")
-        with pytest.raises(NNError, match="trailing"):
+        with pytest.raises(ArtifactError, match="trailing"):
+            ParamStore.load(path)
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        store = ParamStore()
+        store.register("x0", np.array(0.0))
+        store.register("x1", np.array(0.0))
+        path = tmp_path / "twice.ckpt"
+        store.save(path)
+        path.write_bytes(path.read_bytes().replace(b"x1", b"x0"))
+        with pytest.raises(ArtifactError, match="stored twice"):
             ParamStore.load(path)
 
     @settings(max_examples=200, deadline=None)
     @given(cut=st.integers(min_value=0), garbage=st.binary(max_size=64))
-    def test_corrupt_tail_raises_nnerror_or_loads(self, tmp_path_factory, cut, garbage):
+    def test_corrupt_tail_raises_artifact_error_or_loads(self, tmp_path_factory, cut, garbage):
         # a valid prefix followed by arbitrary bytes either parses as a whole
-        # checkpoint or fails as NNError, never as struct/numpy/unicode errors
+        # checkpoint or fails as ArtifactError, never as struct/numpy/unicode errors
         tmp_path = tmp_path_factory.mktemp("ckpt")
         data = self._small_checkpoint(tmp_path)
         path = tmp_path / "garbage.ckpt"
         path.write_bytes(data[: cut % (len(data) + 1)] + garbage)
         try:
             ParamStore.load(path)
-        except NNError:
+        except ArtifactError:
             pass
 
 

@@ -17,10 +17,10 @@ from cgflow.compstate import (
     transition,
 )
 from cgflow.domain import RuleSet, action_space, validate_library
+from cgflow.errors import InvariantError
 from cgflow.gflownet import PolicyModel, policy_distribution, sample_trajectory
 from cgflow.nn import ParamStore
 from cgflow.oracle import (
-    OracleError,
     _enumerate_bfs_keys,
     enumerate_sequences,
     model_distribution,
@@ -103,7 +103,7 @@ class TestEnumerate:
 
     def test_explosion_guard(self, library, sched, rules, reward_params):
         sf = StateFlowModel.create(sched, library, seed=55)
-        with pytest.raises(OracleError):
+        with pytest.raises(InvariantError):
             enumerate_sequences(rules, sched, sf, library, reward_params, 9, cap=10)
 
 
@@ -149,7 +149,7 @@ class TestTV:
         assert tv_distance(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == 0.5
 
     def test_mismatched_support(self):
-        with pytest.raises(OracleError):
+        with pytest.raises(InvariantError):
             tv_distance(np.array([1.0]), np.array([0.5, 0.5]))
 
 
@@ -226,7 +226,7 @@ class TestModelDistribution:
         want = list(walk(EMPTY_OBJECT, ()))
         assert len(want) == len(set(want)) == 24
         assert _enumerate_bfs_keys(rules, sched, library, cap=100) == set(want)
-        with pytest.raises(OracleError):
+        with pytest.raises(InvariantError):
             _enumerate_bfs_keys(rules, sched, library, cap=23)
 
 

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from cgflow.errors import ConfigError
 from cgflow.schedule import (
     Schedule,
-    ScheduleError,
     action_steps,
     kappa,
     t_end_step,
@@ -77,11 +77,11 @@ class TestActionSteps:
         assert action_steps(s) == [0, 2, 4, 6]
 
     def test_off_grid_lambda_rejected(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ConfigError):
             Schedule(lam=0.15, t_window=1.0, n_steps=10, max_components=3)
 
     def test_lambda_too_large_for_components(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ConfigError):
             Schedule(lam=0.3, t_window=1.0, n_steps=20, max_components=4)
 
 

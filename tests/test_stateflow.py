@@ -19,7 +19,8 @@ from cgflow.compstate import (
     replay_actions,
 )
 from cgflow.domain import RuleSet, generate_dataset
-from cgflow.nn import NumericalError, Tape, finite_difference_check
+from cgflow.errors import NumericalError
+from cgflow.nn import Tape, finite_difference_check
 from cgflow.schedule import Schedule, t_local_from_steps
 from cgflow.seeding import rng_from
 from cgflow.stateflow import (

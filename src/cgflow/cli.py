@@ -42,6 +42,7 @@ from .errors import (
     ConfigError,
     InvariantError,
 )
+from .fileio import atomic_open
 from .gflownet import (
     PolicyHyper,
     PolicyModel,
@@ -142,6 +143,8 @@ class RunConfig:
             resolved = (base_dir / library_path).resolve()
             if not resolved.exists():
                 raise FileNotFoundError(f"library file not found: {resolved}")
+            if not resolved.is_file():
+                raise ConfigError(f"library path is not a file: {resolved}")
             library_path = str(resolved)
         return cls(
             seed=_value(doc["seed"], int, "seed"),
@@ -187,6 +190,8 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config path is not a file: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
@@ -203,11 +208,14 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
 
 
 def _write_jsonl(path: Path, meta: dict, rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"record": "meta", **meta}, sort_keys=True) + "\n")
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    with atomic_open(path) as fh:
+        for row in [{"record": "meta", **meta}, *rows]:
+            fh.write((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    with atomic_open(path) as fh:
+        fh.write((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def read_jsonl(path: str | Path) -> tuple[dict, list[dict]]:
@@ -462,9 +470,7 @@ def cmd_evaluate(config: RunConfig, samples_path: Path, table_path: Path) -> dic
         report["log_z_error"] = abs(log_z - log_z_exact)
     report["config_hash"] = config.config_hash()
     report["library_hash"] = config.library_hash()
-    out = paths["evaluate"]
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(paths["evaluate"], report)
     return report
 
 
@@ -519,9 +525,7 @@ def cmd_gradcheck(config: RunConfig) -> dict:
         "config_hash": config.config_hash(),
         "library_hash": config.library_hash(),
     }
-    out = _paths(config)["gradcheck"]
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(_paths(config)["gradcheck"], report)
     return report
 
 

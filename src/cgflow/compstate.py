@@ -138,6 +138,14 @@ class SynthonLibrary:
             roles[synthon.id] = block
         return roles
 
+    @cached_property
+    def static_features(self) -> dict:
+        """Memo for ``stateflow.featurize_points``: the read-only feature
+        columns that depend only on an object's components, keyed on
+        ``(max_components, components)``.  Stored on the library object like
+        ``point_roles``, so it is freed with the library."""
+        return {}
+
 
 def library_from_dict(doc: dict) -> SynthonLibrary:
     synthons = []

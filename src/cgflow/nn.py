@@ -25,6 +25,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ArtifactError, InvariantError, NumericalError
+from .fileio import atomic_open
 
 CHECKPOINT_MAGIC = b"CGFW1"
 
@@ -107,7 +108,8 @@ class ParamStore:
         blob = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
         parts.append(struct.pack("<I", len(blob)))
         parts.append(blob)
-        Path(path).write_bytes(b"".join(parts))
+        with atomic_open(path) as fh:
+            fh.write(b"".join(parts))
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["ParamStore", dict]:

@@ -36,6 +36,7 @@ class SequenceRecord:
     prefix: tuple[int, ...]  # index of each action in its decision's legal list
     terminal_object: ComposedObject
     log_reward: float
+    log_uniform: float  # log-probability under the uniform-over-legal-actions policy
 
 
 @dataclass(frozen=True)
@@ -100,15 +101,16 @@ def enumerate_sequences(
 
     Every decision point is stored once, with its integrated object and its
     legal-action list, so policy probabilities can be re-scored exactly
-    without re-running the state flow.
+    without re-running the state flow.  Each record also carries its
+    uniform-policy log-probability, summed in depth order along the way.
     """
     records: list[SequenceRecord] = []
     decisions: dict[tuple[int, ...], Decision] = {}
 
-    def dfs(x, step, prefix, actions):
+    def dfs(x, step, prefix, actions, log_u):
         if x.is_terminal:
             log_r = log_reward(x, reward_params, library)
-            records.append(SequenceRecord(sequence_key(actions), actions, prefix, x, log_r))
+            records.append(SequenceRecord(sequence_key(actions), actions, prefix, x, log_r, log_u))
             if len(records) > cap:
                 raise InvariantError(f"sequence enumeration exceeded {cap}")
             return
@@ -116,13 +118,14 @@ def enumerate_sequences(
         if not space:
             raise InvariantError("non-terminal state with empty action space")
         decisions[prefix] = Decision(x, step, space)
+        child_log_u = log_u + float(-np.log(len(space)))
         for idx, action in enumerate(space):
             child = transition(x, action, library, sched, global_seed, p_max=rules.p_max)
             nxt = next_decision_step(child, rules, sched)
             rolled = euler_rollout(child, state_model, sched, step, nxt)
-            dfs(rolled, nxt, prefix + (idx,), actions + (action,))
+            dfs(rolled, nxt, prefix + (idx,), actions + (action,), child_log_u)
 
-    dfs(EMPTY_OBJECT, 0, (), ())
+    dfs(EMPTY_OBJECT, 0, (), (), 0.0)
     records.sort(key=lambda r: r.key)
 
     bfs_keys = _enumerate_bfs_keys(rules, sched, library, cap)
@@ -190,8 +193,6 @@ def model_distribution(
 
 
 def uniform_policy_distribution(table: SequenceTable) -> np.ndarray:
-    """Sequence probabilities under the uniform-over-legal-actions policy."""
-    return np.exp(_sum_along_prefixes(table, {
-        prefix: np.full(len(d.actions), -np.log(len(d.actions)))
-        for prefix, d in table.decisions.items()
-    }))
+    """Sequence probabilities under the uniform-over-legal-actions policy,
+    from the log-probabilities the enumeration stored per record: O(n)."""
+    return np.exp(np.array([r.log_uniform for r in table.records]))

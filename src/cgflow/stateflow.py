@@ -56,31 +56,51 @@ def featurize_points(
     The attachment flag is signed by klass (+1 alpha, -1 beta, 0 plain) and
     the klass summary carries the owning synthon's attachment-klass counts,
     so a point's role is decodable locally rather than only through pooling.
-    Those static columns come from the library's ``point_roles`` blocks.
+    Those columns and the component one-hot depend only on the components,
+    so they are built once per component tuple (``_static_features``); each
+    call copies them and fills in the states, self-conditioning and local
+    time.
     """
+    static, slices = _static_features(x, sched, library)
+    feats = static.copy()
+    for (offset, m), comp, states, cond in zip(slices, x.components, x.states, x.self_cond):
+        rows = feats[offset : offset + m]
+        rows[:, 0:2] = states
+        rows[:, 2:4] = cond
+        rows[:, 4] = t_local_from_steps(t_step, comp.t_gen_step, sched)
+    return feats, list(slices)
+
+
+def _static_features(
+    x: ComposedObject, sched: Schedule, library: SynthonLibrary
+) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """The read-only attachment-flag, component one-hot and klass-summary
+    columns of ``x`` (the rest zero) and its slices, memoised on the
+    library."""
+    mc = sched.max_components
+    key = (mc, x.components)
+    hit = library.static_features.get(key)
+    if hit is not None:
+        return hit
     roles = library.point_roles
     try:
         blocks = [roles[comp.synthon_id] for comp in x.components]
     except KeyError as exc:
         raise InvariantError(f"unknown synthon id {exc.args[0]!r}") from None
-    mc = sched.max_components
-    feats = np.zeros((sum(b.shape[0] for b in blocks), feature_dim(sched)))
-    slices: list[tuple[int, int]] = []
+    static = np.zeros((sum(b.shape[0] for b in blocks), feature_dim(sched)))
+    slices = []
     offset = 0
-    for i, (comp, block, states, cond) in enumerate(
-        zip(x.components, blocks, x.states, x.self_cond)
-    ):
+    for i, block in enumerate(blocks):
         m = block.shape[0]
-        rows = feats[offset : offset + m]
-        rows[:, 0:2] = states
-        rows[:, 2:4] = cond
-        rows[:, 4] = t_local_from_steps(t_step, comp.t_gen_step, sched)
+        rows = static[offset : offset + m]
         rows[:, 5] = block[:, 0]
         rows[:, 6 + min(i, mc - 1)] = 1.0
         rows[:, 6 + mc : 8 + mc] = block[:, 1:]
         slices.append((offset, m))
         offset += m
-    return feats, slices
+    static.flags.writeable = False
+    hit = library.static_features[key] = (static, tuple(slices))
+    return hit
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgflow.cli import RunConfig, load_config, main, read_jsonl
+from cgflow.cli import RunConfig, _write_jsonl, load_config, main, read_jsonl
 from cgflow.compstate import default_library_bytes
 from cgflow.errors import EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISSING_FILE, ArtifactError
 
@@ -145,6 +145,8 @@ class TestPipeline:
         assert 0 <= report["tv_empirical_vs_target"] <= 1
         assert "log_z_error" in report
         assert set(report["length_histogram"]) <= {"2", "3"}
+        # every artifact was written through a temp file that is gone now
+        assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
 
     def test_sampling_missing_checkpoints(self, tiny_config):
         assert run(["gen-data", "--config", tiny_config]) == 0
@@ -282,9 +284,22 @@ class TestGradcheckCommand:
         assert all(v < 1e-4 for v in report["max_rel_err"].values())
 
 
+class TestAtomicWrites:
+    def test_failed_write_keeps_old_artifact_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "out" / "rows.jsonl"
+        _write_jsonl(path, {"config_hash": "a"}, [{"i": 0}])
+        before = path.read_bytes()
+        # the meta line and the first row reach the temp file before the
+        # unencodable row raises
+        with pytest.raises(TypeError):
+            _write_jsonl(path, {"config_hash": "b"}, [{"i": 1}, {"i": object()}])
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == ["rows.jsonl"]
+
+
 # -- one row per kind of failure: each setup edits the tiny config document,
 #    writes the files the command reads under tmp_path and returns the
-#    config file's bytes
+#    config file's bytes (or None when it made the config path itself)
 
 META = '{"record": "meta"}\n'
 TABLE_ROW = '{"key": "F(b2a)", "p_target": 1.0}\n'
@@ -326,6 +341,16 @@ def edited_library(edit):
     return setup
 
 
+def directory_config(tmp_path, doc):
+    (tmp_path / "config.json").mkdir()
+
+
+def directory_library(tmp_path, doc):
+    (tmp_path / "library.json").mkdir()
+    doc["library"] = "library.json"
+    return config_bytes(doc)
+
+
 FAILURES = {
     "empty-dataset-train-stateflow": (
         "train-stateflow", empty_dataset("tb"), EXIT_INVARIANT, "invalid-artifact"),
@@ -363,6 +388,8 @@ FAILURES = {
     # only the two alpha bricks: nothing can attach to the first component
     "dead-end-library": ("gen-data", edited_library(lambda s: s[:2]), EXIT_CONFIG, "invalid-config"),
     "non-utf8-config": ("gen-data", lambda tmp_path, doc: b"\xff" + config_bytes(doc), EXIT_CONFIG, "invalid-config"),
+    "config-is-directory": ("gen-data", directory_config, EXIT_CONFIG, "invalid-config"),
+    "library-is-directory": ("gen-data", directory_library, EXIT_CONFIG, "invalid-config"),
 }
 
 
@@ -370,7 +397,9 @@ class TestFailureCodes:
     @pytest.mark.parametrize("command, setup, code, kind", FAILURES.values(), ids=FAILURES.keys())
     def test_exit_code_and_kind(self, tmp_path, capsys, command, setup, code, kind):
         path = tmp_path / "config.json"
-        path.write_bytes(setup(tmp_path, tiny_config_dict()))
+        config = setup(tmp_path, tiny_config_dict())
+        if config is not None:
+            path.write_bytes(config)
         assert run([command, "--config", path]) == code
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (record["error"]["code"], record["error"]["kind"]) == (code, kind)

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every import is used, every
-parameter default of the package is overridden by some call, and every
-``raise`` names a class of the failure taxonomy."""
+parameter default of the package is overridden by some call, every
+``raise`` names a class of the failure taxonomy, and no module holds a
+cache that outlives the calls that fill it."""
 
 from __future__ import annotations
 
@@ -148,3 +149,47 @@ def test_detects_foreign_raise():
         "    raise StateFlowError('b')\n"
     )
     assert foreign_raises(source) == ["KeyError (line 7)", "StateFlowError (line 10)", "bare raise (line 9)"]
+
+
+def module_level_empty_containers(source: str) -> list[str]:
+    """Module-level names bound to an empty ``{}``, ``[]``, ``set()``,
+    ``dict()`` or ``list()``: a cache that outlives every call, which leaks
+    when one process runs many pipelines (perfbench runs every stage in one
+    process).  Per-run memos belong to a caller or to the object they
+    describe, like ``SynthonLibrary.static_features``."""
+
+    def empty(value) -> bool:
+        if isinstance(value, ast.Dict):
+            return not value.keys
+        if isinstance(value, ast.List):
+            return not value.elts
+        return (
+            isinstance(value, ast.Call)
+            and getattr(value.func, "id", None) in {"set", "dict", "list"}
+            and not value.args
+            and not value.keywords
+        )
+
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and empty(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend(f"{ast.unparse(t)} (line {node.lineno})" for t in targets)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_caches(path):
+    assert module_level_empty_containers(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_module_level_cache():
+    source = (
+        "A = {}\nB: list = []\nC = set()\nD = dict()\nE = list()\n"
+        "F = {1: 2}\nG = [0]\nH = dict(a=1)\nI = set([1])\n"
+        "def f():\n    local = {}\n    return local\n"
+        "class K:\n    cache = {}\n"
+    )
+    assert module_level_empty_containers(source) == [
+        "A (line 1)", "B (line 2)", "C (line 3)", "D (line 4)", "E (line 5)",
+    ]

@@ -389,6 +389,41 @@ class TestFeaturize:
             del other
         assert np.array_equal(featurize_points(x, 9, sched, library)[0], feats)
 
+    def test_static_columns_built_once_per_component_tuple(self, library, fig2_sched):
+        # one component tuple at two times and with two sets of states: the
+        # static block comes from the memo and the rest is filled per call
+        x = every_synthon_object(library, fig2_sched, seed=5)
+        y = every_synthon_object(library, fig2_sched, seed=6)
+        assert x.components == y.components
+        for obj in (x, y):
+            for t_step in (4, 13):
+                feats, _ = featurize_points(obj, t_step, fig2_sched, library)
+                want = reference_features(obj, t_step, fig2_sched, library)
+                assert feats.tobytes() == want.tobytes()
+        static, slices = library.static_features[(fig2_sched.max_components, x.components)]
+        assert not static.flags.writeable
+        assert [m for _, m in slices] == [s.n_points for s in library]
+
+    def test_returned_matrix_is_private(self, library, sched):
+        x = every_synthon_object(library, sched, seed=2)
+        feats, slices = featurize_points(x, 9, sched, library)
+        assert feats.flags.writeable
+        feats[:] = 7.0
+        slices.clear()
+        again, slices = featurize_points(x, 9, sched, library)
+        assert np.array_equal(again, reference_features(x, 9, sched, library))
+        assert [m for _, m in slices] == [s.n_points for s in library]
+
+    def test_one_library_under_two_schedules(self, library, sched, fig2_sched):
+        # the one-hot width follows max_components (3 and 4), and so does
+        # the memo key
+        assert sched.max_components != fig2_sched.max_components
+        x = every_synthon_object(library, sched, seed=3)
+        for s in (sched, fig2_sched, sched):
+            feats, _ = featurize_points(x, 9, s, library)
+            assert feats.shape == (sum(b.n_points for b in library), feature_dim(s))
+            assert np.array_equal(feats, reference_features(x, 9, s, library))
+
     def test_taped_forward_matches_numpy(self, library, sched, three_chain, rng):
         x, _, _ = three_chain
         model = StateFlowModel.create(sched, library, seed=4)

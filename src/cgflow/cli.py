@@ -259,15 +259,32 @@ def _paths(config: RunConfig) -> dict[str, Path]:
     }
 
 
-def _load_dataset(config: RunConfig) -> list[ComposedObject]:
+def _load_dataset(config: RunConfig, library: SynthonLibrary) -> list[ComposedObject]:
+    """Dataset objects; each component's state must hold one (x, y) row per
+    point of its synthon."""
     path = _paths(config)["dataset"]
     _, rows = read_jsonl(path)
     if not rows:
         raise ArtifactError(f"{path}: dataset has no object rows")
     try:
-        return [ComposedObject.from_dict(r) for r in rows]
+        data = [ComposedObject.from_dict(r) for r in rows]
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"{path}: malformed object row: {type(exc).__name__}: {exc}") from None
+    n_points = {s.id: s.n_points for s in library}
+    for row, obj in enumerate(data, start=1):
+        if len(obj.states) != len(obj.components):
+            raise ArtifactError(
+                f"{path}: object row {row} has {len(obj.states)} states for {len(obj.components)} components"
+            )
+        for i, (comp, state) in enumerate(zip(obj.components, obj.states)):
+            m = n_points.get(comp.synthon_id)
+            if m is None:
+                raise ArtifactError(f"{path}: object row {row}: unknown synthon id {comp.synthon_id!r}")
+            if state.shape != (m, 2):
+                raise ArtifactError(
+                    f"{path}: object row {row}, component {i}: state shape {state.shape} != {(m, 2)}"
+                )
+    return data
 
 
 def _load_stateflow(config: RunConfig, library: SynthonLibrary) -> StateFlowModel:
@@ -303,7 +320,7 @@ def cmd_gen_data(config: RunConfig) -> None:
 
 def cmd_train_stateflow(config: RunConfig) -> None:
     library = config.load_library()
-    dataset = _load_dataset(config)
+    dataset = _load_dataset(config, library)
     model, metrics = train_stateflow(
         dataset, config.schedule, library, config.stateflow, run_seed=config.seed
     )
@@ -317,7 +334,7 @@ def cmd_train_policy(config: RunConfig) -> None:
     library = config.load_library()
     paths = _paths(config)
     if config.policy.objective == "ce":
-        dataset = _load_dataset(config)
+        dataset = _load_dataset(config, library)
         policy, metrics = train_policy_ce(
             dataset, config.schedule, config.rules, library, config.policy, run_seed=config.seed
         )

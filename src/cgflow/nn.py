@@ -1,8 +1,9 @@
 """Minimal differentiable core: parameter store, gradient tape, Adam.
 
 Everything is float64.  A :class:`Tape` records primitive operations
-(affine, broadcast add/sub/mul, SiLU, mean-pool over rows, column concat,
-row-wise dot, log-softmax, reductions) in execution order; the backward
+(affine, broadcast add/sub/mul, SiLU, mean-pool over rows, the per-span
+mean, row broadcast and affine of a stacked matrix, column concat, row-wise
+dot, log-softmax, reductions) in execution order; the backward
 pass walks that order in reverse exactly once, accumulating gradients into
 the named parameter leaves.  Accumulation order is fixed, so identical
 seeds give bitwise-identical training runs.
@@ -20,7 +21,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from .errors import ArtifactError, InvariantError, NumericalError
 from .fileio import atomic_open
 
 CHECKPOINT_MAGIC = b"CGFW1"
+
+# (offset, rows) of each object's block in a matrix of stacked per-point rows
+Spans = Sequence[tuple[int, int]]
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +218,17 @@ class _Node:
     param_name: str | None = None
 
 
+def _slice_mean(x: np.ndarray, offset: int, rows: int) -> np.ndarray:
+    # np.mean's own arithmetic (one add.reduce down the rows, then a true
+    # divide by the count), kept as a (1, F) row and without np.mean's
+    # Python-level overhead; bitwise equal to x[offset:offset + rows].mean(0)
+    return x[offset : offset + rows].sum(axis=0, keepdims=True) / rows
+
+
+def _stack(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 class Tape:
     """Append-only op recorder; append order is the topological order."""
 
@@ -313,10 +328,37 @@ class Tape:
 
         return self._push(out, (x,), back)
 
-    def broadcast_rows(self, v: int, n: int) -> int:
+    def segment_mean(self, x: int, spans: Spans) -> int:
+        """(P, F) -> (k, F): row j is the mean of the rows of ``spans[j]``."""
+        xv = self.value(x)
+        out = _stack([_slice_mean(xv, o, m) for o, m in spans])
+
+        def back(g: np.ndarray):
+            gx = np.zeros_like(xv)
+            for j, (o, m) in enumerate(spans):
+                gx[o : o + m] = g[j] / m
+            return (gx,)
+
+        return self._push(out, (x,), back)
+
+    def broadcast_rows(self, v: int, spans: Spans) -> int:
+        """(k, F) -> (P, F): row j of ``v`` fills the rows of ``spans[j]``."""
         vv = self.value(v)
-        out = np.repeat(vv[None, :], n, axis=0)
-        return self._push(out, (v,), lambda g: (g.sum(axis=0),))
+        out = np.repeat(vv, [m for _, m in spans], axis=0)
+
+        def back(g: np.ndarray):
+            gv = np.empty_like(vv)
+            for j, (o, m) in enumerate(spans):
+                gv[j] = g[o : o + m].sum(axis=0)
+            return (gv,)
+
+        return self._push(out, (v,), back)
+
+    def segment_affine(self, x: int, w: int, b: int, spans: Spans) -> int:
+        """``x @ w + b`` with the product taken separately per span of rows."""
+        xv, wv = self.value(x), self.value(w)
+        out = _stack([xv[o : o + m] @ wv for o, m in spans]) + self.value(b)
+        return self._push(out, (x, w, b), lambda g: (g @ wv.T, xv.T @ g, g.sum(axis=0)))
 
     def concat_cols(self, a: int, b: int) -> int:
         av, bv = self.value(a), self.value(b)
@@ -418,8 +460,16 @@ class Eval:
         return x.mean(axis=0)
 
     @staticmethod
-    def broadcast_rows(v: np.ndarray, n: int) -> np.ndarray:
-        return np.repeat(v[None, :], n, axis=0)
+    def segment_mean(x: np.ndarray, spans: Spans) -> np.ndarray:
+        return _stack([_slice_mean(x, o, m) for o, m in spans])
+
+    @staticmethod
+    def broadcast_rows(v: np.ndarray, spans: Spans) -> np.ndarray:
+        return np.repeat(v, [m for _, m in spans], axis=0)
+
+    @staticmethod
+    def segment_affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, spans: Spans) -> np.ndarray:
+        return _stack([x[o : o + m] @ w for o, m in spans]) + b
 
     @staticmethod
     def concat_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from .domain import RewardParams, RuleSet, action_space, log_reward
 from .errors import InvariantError
 from .gflownet import PolicyModel, next_decision_step, policy_distribution
 from .schedule import Schedule
-from .stateflow import StateFlowModel, euler_rollout
+from .stateflow import StateFlowModel, integrate_packed
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,9 @@ def enumerate_sequences(
     global_seed: int,
     cap: int = 100_000,
 ) -> SequenceTable:
-    """DFS over the action space with deterministic state rollouts.
+    """DFS over the action space with deterministic state rollouts, all
+    children of a decision that stop at the same next step integrated in one
+    packed call.
 
     Every decision point is stored once, with its integrated object and its
     legal-action list, so policy probabilities can be re-scored exactly
@@ -119,11 +121,19 @@ def enumerate_sequences(
             raise InvariantError("non-terminal state with empty action space")
         decisions[prefix] = Decision(x, step, space)
         child_log_u = log_u + float(-np.log(len(space)))
+        # every child integrates from this step: those that also stop at the
+        # same next decision share one packed integration
+        children = [transition(x, a, library, sched, global_seed, p_max=rules.p_max) for a in space]
+        stops = [next_decision_step(c, rules, sched) for c in children]
+        groups: dict[int, list[int]] = {}
+        for idx, nxt in enumerate(stops):
+            groups.setdefault(nxt, []).append(idx)
+        for nxt, members in groups.items():
+            rolled = integrate_packed([children[i] for i in members], state_model, sched, step, nxt)
+            for i, child in zip(members, rolled):
+                children[i] = child
         for idx, action in enumerate(space):
-            child = transition(x, action, library, sched, global_seed, p_max=rules.p_max)
-            nxt = next_decision_step(child, rules, sched)
-            rolled = euler_rollout(child, state_model, sched, step, nxt)
-            dfs(rolled, nxt, prefix + (idx,), actions + (action,), child_log_u)
+            dfs(children[idx], stops[idx], prefix + (idx,), actions + (action,), child_log_u)
 
     dfs(EMPTY_OBJECT, 0, (), (), 0.0)
     records.sort(key=lambda r: r.key)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .compstate import (
     replay_actions,
 )
 from .errors import InvariantError, NumericalError
-from .nn import Eval, ParamStore, Tape, adam_step, mlp_apply, register_mlp
+from .nn import Eval, ParamStore, Spans, Tape, adam_step, mlp_apply, register_mlp
 from .schedule import Schedule, kappa, t_end_step, t_local_from_steps
 from .seeding import rng_from
 
@@ -64,11 +65,17 @@ def featurize_points(
     static, slices = _static_features(x, sched, library)
     feats = static.copy()
     for (offset, m), comp, states, cond in zip(slices, x.components, x.states, x.self_cond):
-        rows = feats[offset : offset + m]
-        rows[:, 0:2] = states
-        rows[:, 2:4] = cond
-        rows[:, 4] = t_local_from_steps(t_step, comp.t_gen_step, sched)
+        _set_dynamic(
+            feats[offset : offset + m], states, cond, t_local_from_steps(t_step, comp.t_gen_step, sched)
+        )
     return feats, list(slices)
+
+
+def _set_dynamic(rows: np.ndarray, states, cond, t_local) -> None:
+    """Fill the coordinate, self-conditioning and local-time columns."""
+    rows[:, 0:2] = states
+    rows[:, 2:4] = cond
+    rows[:, 4] = t_local
 
 
 def _static_features(
@@ -127,16 +134,28 @@ class StateFlowModel:
         register_mlp(store, "sf.head", [2 * HIDDEN, HIDDEN, 2], rng)
         return cls(store=store, sched=sched, library=library)
 
-    def forward(self, ops, feats: np.ndarray):
-        """Per-point clean-state estimates; ``ops`` is a Tape or an Eval."""
+    def forward(self, ops, feats: np.ndarray, spans: Spans):
+        """Per-point clean-state estimates for the stacked point rows of one
+        or more objects, ``spans`` holding each object's (offset, rows);
+        ``ops`` is a Tape or an Eval.
+
+        The 64-column layers run on the whole stack: their rows come out
+        bitwise equal to one object's own product.  The set context (a mean
+        over each object's slice) and the 64->2 output layer do not, so they
+        run per object."""
         h = ops.silu(mlp_apply(ops, "sf.enc", ops.const(feats), 2))
-        hc = ops.concat_cols(h, ops.broadcast_rows(ops.mean_rows(h), feats.shape[0]))
-        return mlp_apply(ops, "sf.head", hc, 2)
+        hc = ops.concat_cols(h, ops.broadcast_rows(ops.segment_mean(h, spans), spans))
+        h = ops.silu(mlp_apply(ops, "sf.head", hc, 1))
+        return ops.segment_affine(h, ops.param("sf.head.1.w"), ops.param("sf.head.1.b"), spans)
+
+    def predict_packed(self, feats: np.ndarray, spans: Spans) -> np.ndarray:
+        """Tape-free :meth:`forward`: the (rows, 2) clean-state estimates."""
+        return self.forward(Eval(self.store), feats, spans)
 
     def predict(self, x: ComposedObject, t_step: int) -> list[np.ndarray]:
         """Clean-state estimates per component (tape-free)."""
         feats, slices = featurize_points(x, t_step, self.sched, self.library)
-        out = self.forward(Eval(self.store), feats)
+        out = self.predict_packed(feats, ((0, feats.shape[0]),))
         return [out[o : o + m] for o, m in slices]
 
 
@@ -209,7 +228,7 @@ def state_loss(model: StateFlowModel, tape: Tape, batch: list[NoisySample]) -> i
         if not sample.targets:
             continue
         feats, _ = featurize_points(sample.x_t, sample.t_step, model.sched, model.library)
-        pred = model.forward(tape, feats)
+        pred = model.forward(tape, feats, ((0, feats.shape[0]),))
         target = tape.const(np.concatenate(sample.targets, axis=0))
         diff = tape.sub(pred, target)
         sq = tape.sum_all(tape.mul(diff, diff))
@@ -233,23 +252,16 @@ def euler_rollout(
     snap: bool = True,
     cache: dict | None = None,
 ) -> ComposedObject:
-    """Integrate states from ``from_step`` to ``to_step`` (grid indices).
-
-    Each step predicts clean states (stored as the new self-conditioning),
-    advances every generated component at its schedule rate, then snaps any
-    component whose window has closed onto its prediction.  No compositional
-    action may fire strictly inside the interval.
+    """Integrate the states of one object from ``from_step`` to ``to_step``
+    (grid indices); :func:`integrate_packed` over ``(x,)``.
 
     ``cache`` is a caller-owned dict of earlier rollouts under this same
     frozen ``model`` and ``sched``.  Its key is the whole input (components,
     interval, ``snap`` and the bytes of the states and self-conditioning),
-    so a hit is exactly the object a fresh integration returns.  Cached
-    objects are shared between callers, so their arrays are read-only.
+    so a hit is exactly the object a fresh integration returns.
     """
-    if not from_step <= to_step <= sched.n_steps:
-        raise InvariantError(f"invalid rollout interval [{from_step}, {to_step}]")
     if cache is None:
-        return _integrate(x, model, sched, from_step, to_step, snap)
+        return integrate_packed((x,), model, sched, from_step, to_step, snap)[0]
     key = (
         x.components,
         from_step,
@@ -260,53 +272,114 @@ def euler_rollout(
     )
     out = cache.get(key)
     if out is None:
-        out = _integrate(x, model, sched, from_step, to_step, snap)
-        for arr in out.states + out.self_cond:
-            arr.flags.writeable = False
-        cache[key] = out
+        # integrate_packed, not euler_rollout: a miss must not re-enter the
+        # public function, which a tracer may have rebound
+        out = cache[key] = integrate_packed((x,), model, sched, from_step, to_step, snap)[0]
     return out
 
 
-def _integrate(
-    x: ComposedObject,
+def integrate_packed(
+    xs: Sequence[ComposedObject],
     model: StateFlowModel,
     sched: Schedule,
     from_step: int,
     to_step: int,
-    snap: bool,
-) -> ComposedObject:
-    # Kept apart from euler_rollout so a cache miss integrates without
-    # re-entering the public function.
-    if not x.components:
-        return x
-    ends = [t_end_step(comp.t_gen_step, sched) for comp in x.components]
-    paper = sched.integrator_mode == "paper"
-    dt = sched.dt
-    for s in range(from_step, to_step):
-        preds = tuple(np.array(p, dtype=np.float64) for p in model.predict(x, s))
-        for i, p in enumerate(preds):
-            if not np.isfinite(p).all():
-                raise NumericalError(
-                    f"state-flow prediction not finite at step {s}, component {i}"
-                )
-        new_states = []
-        for state, pred, end in zip(x.states, preds, ends):
-            if paper:
-                state = state + (pred - state) * (kappa(s, end, sched) * dt)
-            else:
-                remaining = end - s
-                if remaining > 0:
-                    state = state + (pred - state) * min(1.0, 1.0 / remaining)
-            if snap and s + 1 >= end:
-                state = pred
-            new_states.append(state)
-        x = ComposedObject(
+    snap: bool = True,
+) -> list[ComposedObject]:
+    """Integrate the states of several objects over one interval together.
+
+    Each step predicts clean states (stored as the new self-conditioning),
+    advances every generated component at its schedule rate, then snaps any
+    component whose window has closed onto its prediction.  No compositional
+    action may fire strictly inside the interval.
+
+    All objects' points are stacked into one matrix, so a step is one model
+    forward and one vectorised update; the static feature columns are built
+    once per call, and the result is split back into per-component arrays
+    once, at the end.  Those arrays are read-only row views of the last
+    step's matrices, which the objects share.  Each object comes out
+    bitwise as it would alone.  An object without components, or a
+    zero-length interval, returns the input object itself.
+    """
+    if not from_step <= to_step <= sched.n_steps:
+        raise InvariantError(f"invalid rollout interval [{from_step}, {to_step}]")
+    live = [x for x in xs if x.components] if to_step > from_step else []
+    if not live:
+        return list(xs)
+    statics, spans, counts, gens, ends = [], [], [], [], []
+    offset = 0
+    for x in live:
+        static, slices = _static_features(x, sched, model.library)
+        statics.append(static)
+        spans.append((offset, static.shape[0]))
+        offset += static.shape[0]
+        for (_, m), comp in zip(slices, x.components):
+            counts.append(m)
+            gens.append(comp.t_gen_step)
+            ends.append(t_end_step(comp.t_gen_step, sched))
+    feats = np.concatenate(statics)
+    state = np.concatenate([s for x in live for s in x.states])
+    cond = np.concatenate([c for x in live for c in x.self_cond])
+    # per-step row tables, built once: local time, steps left in each window
+    grid = range(from_step, to_step)
+    t_local = np.repeat([[t_local_from_steps(s, g, sched) for g in gens] for s in grid], counts, axis=1)
+    remaining = (np.repeat(ends, counts)[None, :] - np.arange(from_step, to_step)[:, None])[..., None]
+    first_end = min(ends)
+    if sched.integrator_mode == "paper":
+        # every open window steps at the same kappa; closed rows step by 0
+        rate = np.where(remaining > 0, kappa(from_step, from_step + 1, sched) * sched.dt, 0.0)
+        first_masked = to_step
+    else:
+        # min(1, 1/remaining) on open rows; closed rows are masked out rather
+        # than stepped by 0, so their bits (-0.0 too) stay as they are
+        rate = 1.0 / np.maximum(remaining, 1)
+        first_masked = first_end
+    first_snap = first_end - 1 if snap else to_step
+    for i, s in enumerate(grid):
+        _set_dynamic(feats, state, cond, t_local[i])
+        pred = np.asarray(model.predict_packed(feats, spans), dtype=np.float64)
+        if not np.isfinite(pred).all():
+            j, c = _first_non_finite(pred, live)
+            raise NumericalError(
+                f"state-flow prediction not finite at step {s}, component {c} of object {j}"
+            )
+        stepped = state + (pred - state) * rate[i]
+        state = np.where(remaining[i] > 0, stepped, state) if s >= first_masked else stepped
+        if s >= first_snap:
+            state = np.where(remaining[i] <= 1, pred, state)
+        cond = pred
+    state.flags.writeable = cond.flags.writeable = False
+    snapped = iter([snap and end <= to_step for end in ends])
+    rolled = iter(_split(live, state, cond, snapped))
+    return [next(rolled) if x.components else x for x in xs]
+
+
+def _split(live: list[ComposedObject], state: np.ndarray, cond: np.ndarray, snapped):
+    """The objects again, their states and self-conditioning now row views
+    of the stacked matrices.  A component snapped at the last step has equal
+    state and self-conditioning rows, so it gets one view for both."""
+    offset = 0
+    for x in live:
+        states, conds = [], []
+        for s in x.states:
+            m = s.shape[0]
+            conds.append(cond[offset : offset + m])
+            states.append(conds[-1] if next(snapped) else state[offset : offset + m])
+            offset += m
+        yield ComposedObject(
             components=x.components,
-            states=tuple(new_states),
-            self_cond=preds,
+            states=tuple(states),
+            self_cond=tuple(conds),
             open_attachments=x.open_attachments,
         )
-    return x
+
+
+def _first_non_finite(pred: np.ndarray, live: list[ComposedObject]) -> tuple[int, int]:
+    """(object, component) owning the first stacked row with a non-finite value."""
+    row = int(np.flatnonzero(~np.isfinite(pred).all(axis=1))[0])
+    owners = [(j, i) for j, x in enumerate(live) for i in range(len(x.states))]
+    ends = np.cumsum([s.shape[0] for x in live for s in x.states])
+    return owners[int(np.searchsorted(ends, row, side="right"))]
 
 
 # ---------------------------------------------------------------------------

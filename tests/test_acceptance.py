@@ -121,10 +121,11 @@ def test_03_integrator_coherence(library, rules, report):
 
     class Oracle:
         def __init__(self, targets):
-            self.targets = targets
+            self.targets = np.concatenate(targets)
+            self.library = library
 
-        def predict(self, x, t_step):
-            return [self.targets[i].copy() for i in range(len(x.components))]
+        def predict_packed(self, feats, spans):
+            return np.concatenate([self.targets[:m] for _, m in spans])
 
     worst_paper, worst_rect = 0.0, 0.0
     for mode in ("paper", "rectified"):

@@ -320,6 +320,25 @@ def empty_dataset(objective):
     return setup
 
 
+def dataset_row(synthon_id="b2a", states=((0.0, 0.0), (1.0, 0.0))):
+    return json.dumps({
+        "components": [{"synthon_id": synthon_id, "parent_component": None, "parent_attachment": None,
+                        "child_attachment": None, "t_gen_step": 0}],
+        "states": [[list(p) for p in states]],
+        "open_attachments": [[0, 0]],
+    }) + "\n"
+
+
+def dataset_rows(rows, objective="tb"):
+    def setup(tmp_path, doc):
+        doc["policy"]["objective"] = objective
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "dataset.jsonl").write_text(META + dataset_row() + rows)
+        return config_bytes(doc)
+
+    return setup
+
+
 def evaluate_inputs(samples, table):
     def setup(tmp_path, doc):
         (tmp_path / "out").mkdir()
@@ -356,6 +375,15 @@ FAILURES = {
         "train-stateflow", empty_dataset("tb"), EXIT_INVARIANT, "invalid-artifact"),
     "empty-dataset-ce-train-policy": (
         "train-policy", empty_dataset("ce"), EXIT_INVARIANT, "invalid-artifact"),
+    # b2a has two points: a row with one, or three, is not an object of this library
+    "dataset-short-state-train-stateflow": (
+        "train-stateflow", dataset_rows(dataset_row(states=((0.0, 0.0),))), EXIT_INVARIANT, "invalid-artifact"),
+    "dataset-short-state-ce-train-policy": (
+        "train-policy", dataset_rows(dataset_row(states=((0.0, 0.0),)), "ce"), EXIT_INVARIANT, "invalid-artifact"),
+    "dataset-long-state": (
+        "train-stateflow", dataset_rows(dataset_row(states=((0.0, 0.0),) * 3)), EXIT_INVARIANT, "invalid-artifact"),
+    "dataset-unknown-synthon": (
+        "train-stateflow", dataset_rows(dataset_row(synthon_id="zz")), EXIT_INVARIANT, "invalid-artifact"),
     "evaluate-action-not-object": (
         "evaluate", evaluate_inputs('{"actions": [{"action": 3}]}\n', TABLE_ROW),
         EXIT_INVARIANT, "invalid-artifact"),

@@ -41,7 +41,9 @@ EVAL_OPS = [
     pytest.param("affine", [(5,), (5, 4), (4,)], id="affine-vector"),
     pytest.param("silu", [(6, 5)], id="silu"),
     pytest.param("mean_rows", [(6, 5)], id="mean_rows"),
-    pytest.param("broadcast_rows", [(5,), 6], id="broadcast_rows"),
+    pytest.param("broadcast_rows", [(3, 5), [(0, 2), (2, 1), (3, 4)]], id="broadcast_rows"),
+    pytest.param("segment_mean", [(7, 5), [(0, 2), (2, 1), (3, 4)]], id="segment_mean"),
+    pytest.param("segment_affine", [(7, 5), (5, 2), (2,), [(0, 3), (3, 4)]], id="segment_affine"),
     pytest.param("concat_cols", [(6, 5), (6, 3)], id="concat_cols"),
     pytest.param("rowdot", [(6, 5), (5,)], id="rowdot"),
     pytest.param("log_softmax", [(7,)], id="log_softmax"),
@@ -56,7 +58,7 @@ class TestEval:
         tape = Tape()
         tape_args, eval_args = [], []
         for shape in shapes:
-            if isinstance(shape, int):  # a plain count, e.g. broadcast_rows' n
+            if isinstance(shape, list):  # row spans, passed as they are
                 tape_args.append(shape)
                 eval_args.append(shape)
                 continue
@@ -163,17 +165,17 @@ class TestTapeOps:
         assert err < 1e-4
 
     def test_mean_rows_broadcast_concat_rowdot_gradients(self, rng):
-        store = make_store(rng, {"w": (8, 4)})
+        store = make_store(rng, {"w": (8, 4), "b": (4,)})
         x = rng.normal(size=(5, 4))
-        probe = rng.normal(size=4)
+        probe = rng.normal(size=(3, 4))
 
         def build(tape: Tape) -> int:
             base = tape.const(x)
-            pooled = tape.mean_rows(base)
-            ctx = tape.broadcast_rows(pooled, 5)
+            spans = [(0, 2), (2, 3)]
+            ctx = tape.broadcast_rows(tape.segment_mean(base, spans), spans)
             joint = tape.concat_cols(base, ctx)
-            proj = tape.affine(joint, tape.param("w"))
-            scores = tape.rowdot(proj, tape.const(probe))
+            proj = tape.segment_affine(joint, tape.param("w"), tape.param("b"), spans)
+            scores = tape.rowdot(proj, tape.mean_rows(tape.const(probe)))
             picked = tape.pick(tape.log_softmax(scores), 2)
             return tape.mul(picked, picked)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cgflow.compstate import (
     EMPTY_OBJECT,
     AddSynthon,
     AttachmentPoint,
+    ComposedObject,
     FirstSynthon,
     Synthon,
     SynthonLibrary,
@@ -18,7 +20,7 @@ from cgflow.compstate import (
 )
 from cgflow.domain import RuleSet, action_space, validate_library
 from cgflow.errors import InvariantError
-from cgflow.gflownet import PolicyModel, policy_distribution, sample_trajectory
+from cgflow.gflownet import PolicyModel, next_decision_step, policy_distribution, sample_trajectory
 from cgflow.nn import ParamStore
 from cgflow.oracle import (
     _enumerate_bfs_keys,
@@ -29,6 +31,7 @@ from cgflow.oracle import (
     tv_distance,
     uniform_policy_distribution,
 )
+from cgflow.schedule import Schedule, kappa, t_end_step
 from cgflow.stateflow import StateFlowModel
 
 
@@ -105,6 +108,62 @@ class TestEnumerate:
         sf = StateFlowModel.create(sched, library, seed=55)
         with pytest.raises(InvariantError):
             enumerate_sequences(rules, sched, sf, library, reward_params, 9, cap=10)
+
+
+def reference_rollout(x, model, sched, from_step, to_step):
+    """The Euler loop one component at a time, on one object's own forward."""
+    ends = [t_end_step(comp.t_gen_step, sched) for comp in x.components]
+    for s in range(from_step, to_step):
+        preds = tuple(np.array(p) for p in model.predict(x, s))
+        states = []
+        for state, pred, end in zip(x.states, preds, ends):
+            if sched.integrator_mode == "paper":
+                state = state + (pred - state) * (kappa(s, end, sched) * sched.dt)
+            elif end - s > 0:
+                state = state + (pred - state) * min(1.0, 1.0 / (end - s))
+            states.append(pred if s + 1 >= end else state)
+        x = ComposedObject(x.components, tuple(states), preds, x.open_attachments)
+    return x
+
+
+def reference_tree(rules, sched, model, library, seed):
+    """The DFS one child and one segment at a time: prefix -> (object, step)
+    for every decision, prefix -> object for every leaf."""
+    decisions, leaves = {}, {}
+
+    def dfs(x, step, prefix):
+        if x.is_terminal:
+            leaves[prefix] = x
+            return
+        decisions[prefix] = (x, step)
+        for idx, action in enumerate(action_space(x, rules, library)):
+            child = transition(x, action, library, sched, seed, p_max=rules.p_max)
+            nxt = next_decision_step(child, rules, sched)
+            dfs(reference_rollout(child, model, sched, step, nxt), nxt, prefix + (idx,))
+
+    dfs(EMPTY_OBJECT, 0, ())
+    return decisions, leaves
+
+
+def state_digest(x):
+    return hashlib.sha256(b"".join(a.tobytes() for a in x.states + x.self_cond)).hexdigest()
+
+
+class TestPackedEnumeration:
+    @pytest.mark.parametrize("mode, t_window", [("paper", 0.4), ("rectified", 0.2)])
+    def test_tree_matches_per_segment_reference(self, library, reward_params, mode, t_window):
+        sched = Schedule(lam=0.1, t_window=t_window, n_steps=20, max_components=5, integrator_mode=mode)
+        rules = RuleSet(max_len=5, p_max=14)
+        model = StateFlowModel.create(sched, library, seed=21)
+        table = enumerate_sequences(rules, sched, model, library, reward_params, 9)
+        decisions, leaves = reference_tree(rules, sched, model, library, 9)
+        assert len(table) == len(leaves) == 120
+        assert {p: (state_digest(d.state), d.step) for p, d in table.decisions.items()} == {
+            p: (state_digest(x), step) for p, (x, step) in decisions.items()
+        }
+        assert {r.prefix: state_digest(r.terminal_object) for r in table.records} == {
+            p: state_digest(x) for p, x in leaves.items()
+        }
 
 
 class TestTargetDistribution:

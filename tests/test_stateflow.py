@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import cgflow.stateflow as sfmod
 from cgflow.compstate import (
+    EMPTY_OBJECT,
     AddSynthon,
     ComponentInstance,
     ComposedObject,
@@ -17,9 +18,11 @@ from cgflow.compstate import (
     ground_truth_layout,
     initial_state_sample,
     replay_actions,
+    transition,
 )
-from cgflow.domain import RuleSet, generate_dataset
+from cgflow.domain import RuleSet, action_space, generate_dataset
 from cgflow.errors import NumericalError
+from cgflow.gflownet import next_decision_step
 from cgflow.nn import Tape, finite_difference_check
 from cgflow.schedule import Schedule, t_local_from_steps
 from cgflow.seeding import rng_from
@@ -29,6 +32,7 @@ from cgflow.stateflow import (
     euler_rollout,
     feature_dim,
     featurize_points,
+    integrate_packed,
     interpolate,
     state_loss,
     train_stateflow,
@@ -52,13 +56,15 @@ def reference_forward(store, feats):
 
 
 class OraclePredictor:
-    """Returns the true target coordinates regardless of the input state."""
+    """Returns the true target coordinates regardless of the input state;
+    each packed object's components are a prefix of ``targets``."""
 
-    def __init__(self, targets):
-        self.targets = targets
+    def __init__(self, targets, library):
+        self.targets = np.concatenate(targets)
+        self.library = library
 
-    def predict(self, x, t_step):
-        return [self.targets[i].copy() for i in range(len(x.components))]
+    def predict_packed(self, feats, spans):
+        return np.concatenate([self.targets[:m] for _, m in spans])
 
 
 @pytest.fixture()
@@ -126,7 +132,7 @@ class ConstantOutputModel:
         self.sched = sched
         self.library = library
 
-    def forward(self, ops, feats):
+    def forward(self, ops, feats, spans):
         return ops.const(self.values[: feats.shape[0]])
 
 
@@ -172,21 +178,21 @@ class TestEulerRollout:
         sched = Schedule(lam=0.3, t_window=0.4, n_steps=20, max_components=3, integrator_mode="rectified")
         x, layout, actions = three_chain
         start = replay_actions(actions, library, sched, global_seed=3)
-        out = euler_rollout(start, OraclePredictor(layout), sched, 0, sched.n_steps, snap=False)
+        out = euler_rollout(start, OraclePredictor(layout, library), sched, 0, sched.n_steps, snap=False)
         for got, want in zip(out.states, layout):
             assert np.abs(got - want).max() <= 1e-9
 
     def test_paper_mode_lands_exactly_via_snap(self, library, sched, three_chain):
         x, layout, actions = three_chain
         start = replay_actions(actions, library, sched, global_seed=3)
-        out = euler_rollout(start, OraclePredictor(layout), sched, 0, sched.n_steps, snap=True)
+        out = euler_rollout(start, OraclePredictor(layout, library), sched, 0, sched.n_steps, snap=True)
         for got, want in zip(out.states, layout):
             assert np.array_equal(got, want)
 
     def test_zero_length_interval_is_identity(self, library, sched, three_chain):
         x, layout, actions = three_chain
         start = replay_actions(actions, library, sched, global_seed=3)
-        out = euler_rollout(start, OraclePredictor(layout), sched, 5, 5)
+        out = euler_rollout(start, OraclePredictor(layout, library), sched, 5, 5)
         assert out is start
 
     def test_monotone_refinement_both_modes(self, library, three_chain):
@@ -196,7 +202,7 @@ class TestEulerRollout:
             x = replay_actions(actions, library, sched, global_seed=3)
             prev = [np.linalg.norm(np.asarray(s) - l) for s, l in zip(x.states, layout)]
             for s in range(sched.n_steps):
-                x = euler_rollout(x, OraclePredictor(layout), sched, s, s + 1)
+                x = euler_rollout(x, OraclePredictor(layout, library), sched, s, s + 1)
                 cur = [np.linalg.norm(np.asarray(st) - l) for st, l in zip(x.states, layout)]
                 for a, b in zip(cur, prev):
                     assert a <= b + 1e-12
@@ -207,11 +213,14 @@ class TestEulerRollout:
         x = replay_actions(actions, library, sched, global_seed=3)
 
         class BadModel:
-            def predict(self, x, t_step):
-                return [np.full_like(np.asarray(s), np.nan) for s in x.states]
+            def __init__(self, library):
+                self.library = library
+
+            def predict_packed(self, feats, spans):
+                return np.full((feats.shape[0], 2), np.nan)
 
         with pytest.raises(NumericalError, match="step 4"):
-            euler_rollout(x, BadModel(), sched, 4, 5)
+            euler_rollout(x, BadModel(library), sched, 4, 5)
 
     def test_self_cond_zero_weights_ignore_conditioning(self, library, sched, three_chain):
         # a model whose self-cond input rows are zero must be insensitive to
@@ -299,6 +308,96 @@ class TestRolloutCache:
         x = replay_actions(CHAIN, library, sched, global_seed=3)
         sfmod.euler_rollout(x, model, sched, 12, 20, cache={})
         assert calls == [1]
+
+
+def sibling_decision(library, sched, rules, seed, depth):
+    """The children of the decision ``depth`` actions down the first
+    nonterminal child at each level, integrated segment by segment:
+    (model, decision step, children)."""
+    model = StateFlowModel.create(sched, library, seed=seed)
+    x, step = EMPTY_OBJECT, 0
+    for level in range(depth + 1):
+        children = [
+            transition(x, a, library, sched, seed, p_max=rules.p_max)
+            for a in action_space(x, rules, library)
+        ]
+        if level < depth:
+            x = next(c for c in children if not c.is_terminal)
+            nxt = next_decision_step(x, rules, sched)
+            x, step = euler_rollout(x, model, sched, step, nxt), nxt
+    return model, step, children
+
+
+class TestIntegratePacked:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=st.sampled_from(["paper", "rectified"]),
+        t_window=st.sampled_from([0.1, 0.2, 0.4]),
+        snap=st.booleans(),
+        seed=st.integers(0, 1000),
+        depth=st.integers(1, 3),
+        length=st.integers(1, 20),
+    )
+    def test_siblings_match_one_at_a_time(self, library, mode, t_window, snap, seed, depth, length):
+        sched = Schedule(lam=0.1, t_window=t_window, n_steps=20, max_components=5, integrator_mode=mode)
+        rules = RuleSet(max_len=5, p_max=14)
+        model, step, children = sibling_decision(library, sched, rules, seed, depth)
+        to_step = min(sched.n_steps, step + length)
+        packed = integrate_packed(children, model, sched, step, to_step, snap=snap)
+        assert len({sum(len(s) for s in c.states) for c in children}) > 1
+        assert {c.is_terminal for c in children} == {True, False}
+        for child, got in zip(children, packed):
+            want = euler_rollout(child, model, sched, step, to_step, snap=snap)
+            assert got.components == want.components
+            for a, b in zip(got.states + got.self_cond, want.states + want.self_cond):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_one_forward_per_step_for_the_group(self, library):
+        sched = Schedule(lam=0.1, t_window=0.4, n_steps=20, max_components=5)
+        model, step, children = sibling_decision(library, sched, RuleSet(max_len=5, p_max=14), 4, 2)
+        calls = []
+        original = model.predict_packed
+        model.predict_packed = lambda feats, spans: calls.append(len(spans)) or original(feats, spans)
+        integrate_packed(children, model, sched, step, step + 5)
+        assert calls == [len(children)] * 5
+
+    def test_empty_objects_and_zero_length_pass_through(self, library, sched):
+        model = StateFlowModel.create(sched, library, seed=3)
+        x = replay_actions(CHAIN, library, sched, global_seed=3)
+        out = integrate_packed([EMPTY_OBJECT, x, EMPTY_OBJECT], model, sched, 6, 12)
+        assert out[0] is EMPTY_OBJECT and out[2] is EMPTY_OBJECT
+        want = euler_rollout(x, model, sched, 6, 12)
+        for a, b in zip(out[1].states, want.states):
+            assert a.tobytes() == b.tobytes()
+        same = integrate_packed([x, EMPTY_OBJECT], model, sched, 9, 9)
+        assert same[0] is x and same[1] is EMPTY_OBJECT
+
+    def test_rectified_closed_windows_keep_negative_zero(self, library):
+        sched = _mode_sched("rectified")
+        model = StateFlowModel.create(sched, library, seed=3)
+        x = replay_actions(CHAIN[:2], library, sched, global_seed=3)
+        zeros = [np.full_like(s, -0.0) for s in x.states]
+        # component 0's window [0, 8) has closed by step 12; component 1's is open
+        out = euler_rollout(x.with_states(zeros, self_cond=zeros), model, sched, 12, 13, snap=False)
+        assert np.signbit(out.states[0]).all() and not np.signbit(out.states[1]).all()
+
+    def test_non_finite_names_step_object_and_component(self, library, sched):
+        model = StateFlowModel.create(sched, library, seed=3)
+        a = replay_actions(CHAIN[:1], library, sched, global_seed=3)
+        b = replay_actions(CHAIN, library, sched, global_seed=3)
+        bad_row = a.states[0].shape[0] + b.states[0].shape[0] + 1  # object 1, component 1
+
+        class BadRow:
+            def __init__(self, library):
+                self.library = library
+
+            def predict_packed(self, feats, spans):
+                out = np.zeros((feats.shape[0], 2))
+                out[bad_row, 1] = np.inf
+                return out
+
+        with pytest.raises(NumericalError, match="at step 14, component 1 of object 1"):
+            integrate_packed([a, b], BadRow(library), sched, 14, 16)
 
 
 def reference_features(x, t_step, sched, library):
@@ -430,7 +529,7 @@ class TestFeaturize:
         feats, slices = featurize_points(x, 7, sched, library)
         want = reference_forward(model.store, feats)
         tape = Tape(model.store)
-        assert np.array_equal(tape.value(model.forward(tape, feats)), want)
+        assert np.array_equal(tape.value(model.forward(tape, feats, [(0, len(feats))])), want)
         got = model.predict(x, 7)
         assert [p.shape[0] for p in got] == [m for _, m in slices]
         assert np.array_equal(np.concatenate(got, axis=0), want)

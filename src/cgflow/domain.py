@@ -195,11 +195,6 @@ def log_reward(x: ComposedObject, params: RewardParams, library: SynthonLibrary)
     return -params.beta * energy / params.temperature
 
 
-def reward(x: ComposedObject, params: RewardParams, library: SynthonLibrary) -> float:
-    """Anchor-attraction / clash-repulsion energy mapped through exp(-beta*E/T)."""
-    return float(np.exp(log_reward(x, params, library)))
-
-
 def generate_object(
     rng: np.random.Generator,
     library: SynthonLibrary,

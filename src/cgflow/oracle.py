@@ -3,8 +3,9 @@
 Deterministic transitions plus a frozen state-flow model make every action
 sequence map to exactly one terminal object, so the full sequence space can
 be enumerated and exact model/target distributions compared.  The sequence
-SET is enumerated twice, by depth-first search with rollouts and by an
-independent breadth-first symbolic pass, and the two must agree.
+SET is enumerated twice, both passes breadth-first: once with state
+rollouts, each tree level integrated in a few packed calls, and once
+symbolically (states never integrated); the two must agree.
 """
 
 from __future__ import annotations
@@ -97,53 +98,60 @@ def enumerate_sequences(
     global_seed: int,
     cap: int = 100_000,
 ) -> SequenceTable:
-    """DFS over the action space with deterministic state rollouts, all
-    children of a decision that stop at the same next step integrated in one
-    packed call.
+    """Breadth-first walk over the action space with deterministic state
+    rollouts, one tree level at a time: all children of a level that
+    integrate over the same interval go through one packed call.
 
-    Every decision point is stored once, with its integrated object and its
-    legal-action list, so policy probabilities can be re-scored exactly
-    without re-running the state flow.  Each record also carries its
-    uniform-policy log-probability, summed in depth order along the way.
+    Every decision point is stored once, keyed on its action-index prefix,
+    with its integrated object and its legal-action list, so policy
+    probabilities can be re-scored exactly without re-running the state
+    flow.  Each record also carries its uniform-policy log-probability,
+    summed in depth order along the way.  Records are sorted by key.
+
+    Every pending child leads to at least one sequence, so a level whose
+    children would take the count past ``cap`` is refused before it is
+    integrated.
     """
     records: list[SequenceRecord] = []
     decisions: dict[tuple[int, ...], Decision] = {}
-
-    def dfs(x, step, prefix, actions, log_u):
-        if x.is_terminal:
-            log_r = log_reward(x, reward_params, library)
-            records.append(SequenceRecord(sequence_key(actions), actions, prefix, x, log_r, log_u))
-            if len(records) > cap:
-                raise InvariantError(f"sequence enumeration exceeded {cap}")
-            return
-        space = tuple(action_space(x, rules, library))
-        if not space:
-            raise InvariantError("non-terminal state with empty action space")
-        decisions[prefix] = Decision(x, step, space)
-        child_log_u = log_u + float(-np.log(len(space)))
-        # every child integrates from this step: those that also stop at the
-        # same next decision share one packed integration
-        children = [transition(x, a, library, sched, global_seed, p_max=rules.p_max) for a in space]
-        stops = [next_decision_step(c, rules, sched) for c in children]
-        groups: dict[int, list[int]] = {}
-        for idx, nxt in enumerate(stops):
-            groups.setdefault(nxt, []).append(idx)
-        for nxt, members in groups.items():
-            rolled = integrate_packed([children[i] for i in members], state_model, sched, step, nxt)
+    # (integrated object, step, prefix, actions, uniform log-probability)
+    level = [(EMPTY_OBJECT, 0, (), (), 0.0)]
+    while level:
+        pending = []  # (child, from step, to step, prefix, actions, log_u)
+        for x, step, prefix, actions, log_u in level:
+            if x.is_terminal:
+                log_r = log_reward(x, reward_params, library)
+                records.append(SequenceRecord(sequence_key(actions), actions, prefix, x, log_r, log_u))
+                continue
+            space = tuple(action_space(x, rules, library))
+            if not space:
+                raise InvariantError("non-terminal state with empty action space")
+            decisions[prefix] = Decision(x, step, space)
+            child_log_u = log_u + float(-np.log(len(space)))
+            for idx, action in enumerate(space):
+                child = transition(x, action, library, sched, global_seed, p_max=rules.p_max)
+                nxt = next_decision_step(child, rules, sched)
+                pending.append((child, step, nxt, prefix + (idx,), actions + (action,), child_log_u))
+        if len(records) + len(pending) > cap:
+            raise InvariantError(f"sequence enumeration exceeded {cap}")
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, (_, start, stop, _, _, _) in enumerate(pending):
+            groups.setdefault((start, stop), []).append(i)
+        children = [p[0] for p in pending]
+        for (start, stop), members in groups.items():
+            rolled = integrate_packed([children[i] for i in members], state_model, sched, start, stop)
             for i, child in zip(members, rolled):
                 children[i] = child
-        for idx, action in enumerate(space):
-            dfs(children[idx], stops[idx], prefix + (idx,), actions + (action,), child_log_u)
-
-    dfs(EMPTY_OBJECT, 0, (), (), 0.0)
+        level = [(child, stop, prefix, actions, log_u)
+                 for child, (_, _, stop, prefix, actions, log_u) in zip(children, pending)]
     records.sort(key=lambda r: r.key)
 
-    bfs_keys = _enumerate_bfs_keys(rules, sched, library, cap)
-    dfs_keys = {r.key for r in records}
-    if bfs_keys != dfs_keys:
+    symbolic_keys = _enumerate_bfs_keys(rules, sched, library, cap)
+    rollout_keys = {r.key for r in records}
+    if symbolic_keys != rollout_keys:
         raise InvariantError(
-            "DFS/BFS enumeration mismatch: "
-            f"{sorted(dfs_keys ^ bfs_keys)[:5]} differ"
+            "rollout/symbolic enumeration mismatch: "
+            f"{sorted(rollout_keys ^ symbolic_keys)[:5]} differ"
         )
     return SequenceTable(records=tuple(records), decisions=decisions)
 

@@ -37,6 +37,12 @@ from .seeding import rng_from
 
 HIDDEN = 64
 
+# Most point rows :func:`integrate_packed` stacks into one forward.  Larger
+# packs cut per-call overhead but grow the per-step matrices and row tables:
+# on the oracle-wide benchmark 512 was faster than 256, 1024 and unbounded
+# packs, and unbounded ones peaked 11 MB higher than 512 (BENCH_14.json).
+PACK_ROWS = 512
+
 
 # ---------------------------------------------------------------------------
 # Featurization (shared with the policy model)
@@ -293,19 +299,47 @@ def integrate_packed(
     component whose window has closed onto its prediction.  No compositional
     action may fire strictly inside the interval.
 
-    All objects' points are stacked into one matrix, so a step is one model
-    forward and one vectorised update; the static feature columns are built
-    once per call, and the result is split back into per-component arrays
-    once, at the end.  Those arrays are read-only row views of the last
-    step's matrices, which the objects share.  Each object comes out
-    bitwise as it would alone.  An object without components, or a
-    zero-length interval, returns the input object itself.
+    The objects go in consecutive packs of at most :data:`PACK_ROWS` point
+    rows (an object with more rows goes alone; none is split).  A pack's
+    points are stacked into one matrix, so a step is one model forward and
+    one vectorised update; the static feature columns are built once per
+    pack, and the result is split back into per-component arrays once, at
+    the end.  Those arrays are read-only row views of the last step's
+    matrices, which a pack's objects share.  Each object comes out bitwise
+    as it would alone.  An object without components, or a zero-length
+    interval, returns the input object itself.
     """
     if not from_step <= to_step <= sched.n_steps:
         raise InvariantError(f"invalid rollout interval [{from_step}, {to_step}]")
     live = [x for x in xs if x.components] if to_step > from_step else []
     if not live:
         return list(xs)
+    rolled: list[ComposedObject] = []
+    pack: list[ComposedObject] = []
+    rows = 0
+    for x in live:
+        m = sum(s.shape[0] for s in x.states)
+        if pack and rows + m > PACK_ROWS:
+            rolled += _integrate_pack(pack, len(rolled), model, sched, from_step, to_step, snap)
+            pack, rows = [], 0
+        pack.append(x)
+        rows += m
+    rolled += _integrate_pack(pack, len(rolled), model, sched, from_step, to_step, snap)
+    it = iter(rolled)
+    return [next(it) if x.components else x for x in xs]
+
+
+def _integrate_pack(
+    live: list[ComposedObject],
+    first: int,
+    model: StateFlowModel,
+    sched: Schedule,
+    from_step: int,
+    to_step: int,
+    snap: bool,
+) -> list[ComposedObject]:
+    """:func:`integrate_packed` on one pack of objects with components;
+    ``first`` is the pack's offset among them, for error messages."""
     statics, spans, counts, gens, ends = [], [], [], [], []
     offset = 0
     for x in live:
@@ -341,7 +375,7 @@ def integrate_packed(
         if not np.isfinite(pred).all():
             j, c = _first_non_finite(pred, live)
             raise NumericalError(
-                f"state-flow prediction not finite at step {s}, component {c} of object {j}"
+                f"state-flow prediction not finite at step {s}, component {c} of object {first + j}"
             )
         stepped = state + (pred - state) * rate[i]
         state = np.where(remaining[i] > 0, stepped, state) if s >= first_masked else stepped
@@ -350,8 +384,7 @@ def integrate_packed(
         cond = pred
     state.flags.writeable = cond.flags.writeable = False
     snapped = iter([snap and end <= to_step for end in ends])
-    rolled = iter(_split(live, state, cond, snapped))
-    return [next(rolled) if x.components else x for x in xs]
+    return list(_split(live, state, cond, snapped))
 
 
 def _split(live: list[ComposedObject], state: np.ndarray, cond: np.ndarray, snapped):

@@ -18,7 +18,7 @@ from cgflow.domain import (
     RuleSet,
     action_space,
     generate_dataset,
-    reward,
+    log_reward,
     validate_library,
 )
 from cgflow.errors import ConfigError, InvariantError
@@ -85,6 +85,11 @@ class TestActionSpace:
 
     def test_default_config_validates(self, library, rules, sched):
         validate_library(library, rules, sched)
+
+
+def reward(x, params, library):
+    """Anchor-attraction / clash-repulsion energy mapped through exp(-beta*E/T)."""
+    return float(np.exp(log_reward(x, params, library)))
 
 
 class TestReward:

@@ -6,6 +6,8 @@ import hashlib
 import numpy as np
 import pytest
 
+import cgflow.oracle as oracle_mod
+import cgflow.stateflow as sfmod
 from cgflow.compstate import (
     EMPTY_OBJECT,
     AddSynthon,
@@ -108,6 +110,31 @@ class TestEnumerate:
         sf = StateFlowModel.create(sched, library, seed=55)
         with pytest.raises(InvariantError):
             enumerate_sequences(rules, sched, sf, library, reward_params, 9, cap=10)
+        # levels: 4 first bricks; 16 two-component children; 8 leaves there
+        # plus 16 three-component children.  The cap is checked on a level's
+        # pending children, so the level that crosses it is never integrated
+        for cap, deepest in [(10, 1), (23, 2)]:
+            model = DepthCountingModel(sf)
+            with pytest.raises(InvariantError, match=f"exceeded {cap}"):
+                enumerate_sequences(rules, sched, model, library, reward_params, 9, cap=cap)
+            assert max(model.depths) == deepest
+        model = DepthCountingModel(sf)
+        assert len(enumerate_sequences(rules, sched, model, library, reward_params, 9, cap=24)) == 24
+        assert max(model.depths) == 3
+
+
+class DepthCountingModel:
+    """A frozen state flow that records, per packed forward, the most
+    components any packed object has (read off the component one-hot
+    feature columns)."""
+
+    def __init__(self, model):
+        self.model, self.library, self.depths = model, model.library, []
+
+    def predict_packed(self, feats, spans):
+        mc = self.model.sched.max_components
+        self.depths.append(int(feats[:, 6 : 6 + mc].any(axis=0).sum()))
+        return self.model.predict_packed(feats, spans)
 
 
 def reference_rollout(x, model, sched, from_step, to_step):
@@ -164,6 +191,19 @@ class TestPackedEnumeration:
         assert {r.prefix: state_digest(r.terminal_object) for r in table.records} == {
             p: state_digest(x) for p, x in leaves.items()
         }
+
+    @pytest.mark.parametrize("mode, t_window", [("paper", 0.4), ("rectified", 0.2)])
+    def test_tree_matches_reference_across_pack_boundaries(
+        self, library, reward_params, monkeypatch, mode, t_window
+    ):
+        # a 12-row budget splits most levels' groups into several packs
+        packs, calls = [], []
+        pack, packed = sfmod._integrate_pack, oracle_mod.integrate_packed
+        monkeypatch.setattr(sfmod, "PACK_ROWS", 12)
+        monkeypatch.setattr(sfmod, "_integrate_pack", lambda xs, *a: packs.append(1) or pack(xs, *a))
+        monkeypatch.setattr(oracle_mod, "integrate_packed", lambda *a: calls.append(1) or packed(*a))
+        self.test_tree_matches_per_segment_reference(library, reward_params, mode, t_window)
+        assert len(packs) > 2 * len(calls)
 
 
 class TestTargetDistribution:

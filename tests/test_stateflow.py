@@ -400,6 +400,73 @@ class TestIntegratePacked:
             integrate_packed([a, b], BadRow(library), sched, 14, 16)
 
 
+def mixed_objects(library, sched, rules, max_depth):
+    """Every object reachable in 1..max_depth actions, states at their
+    seeded priors."""
+    level, out = [EMPTY_OBJECT], []
+    for _ in range(max_depth):
+        level = [
+            transition(x, a, library, sched, 5, p_max=rules.p_max)
+            for x in level if not x.is_terminal
+            for a in action_space(x, rules, library)
+        ]
+        out += level
+    return out
+
+
+class TestPackRows:
+    @pytest.mark.parametrize("mode, snap", [("paper", True), ("paper", False), ("rectified", True)])
+    def test_budget_splits_match_unsplit_and_one_at_a_time(self, library, monkeypatch, mode, snap):
+        sched = Schedule(lam=0.1, t_window=0.4, n_steps=20, max_components=8, integrator_mode=mode)
+        # the last component is generated at step 6: [7, 20) holds no action
+        xs = [EMPTY_OBJECT] + mixed_objects(library, sched, RuleSet(max_len=7, p_max=18), 4)
+        rows = [sum(len(s) for s in x.states) for x in xs]
+        total, smallest = sum(rows), min(r for r in rows if r)
+        model = StateFlowModel.create(sched, library, seed=8)
+        calls = []  # (rows, objects) per forward
+        original = model.predict_packed
+        model.predict_packed = lambda f, spans: calls.append((len(f), len(spans))) or original(f, spans)
+
+        def rolled(budget):
+            monkeypatch.setattr(sfmod, "PACK_ROWS", budget)
+            calls.clear()
+            out = integrate_packed(xs, model, sched, 7, 20, snap=snap)
+            return out, set(calls)
+
+        unsplit, packs = rolled(total)
+        assert packs == {(total, len(xs) - 1)}
+        alone = [unsplit[0]] + [euler_rollout(x, model, sched, 7, 20, snap=snap) for x in xs[1:]]
+        assert unsplit[0] is EMPTY_OBJECT
+        for budget in (smallest - 1, 9, 50, total - 1):
+            out, packs = rolled(budget)
+            assert len(packs) > 1
+            assert all(n <= budget or k == 1 for n, k in packs)
+            assert out[0] is EMPTY_OBJECT
+            for objs in zip(out[1:], unsplit[1:], alone[1:]):
+                for u, v, w in zip(*(x.states + x.self_cond for x in objs)):
+                    assert u.tobytes() == v.tobytes() == w.tobytes()
+
+    def test_non_finite_names_the_object_across_packs(self, library, sched, monkeypatch):
+        model = StateFlowModel.create(sched, library, seed=3)
+        a = replay_actions(CHAIN[:1], library, sched, global_seed=3)
+        b = replay_actions(CHAIN, library, sched, global_seed=3)
+        rows_b = sum(len(s) for s in b.states)
+
+        class BadOnB:
+            def __init__(self, library):
+                self.library = library
+
+            def predict_packed(self, feats, spans):
+                out = model.predict_packed(feats, spans)
+                if feats.shape[0] == rows_b:
+                    out[len(b.states[0]), 0] = np.nan  # object b, component 1
+                return out
+
+        monkeypatch.setattr(sfmod, "PACK_ROWS", 1)
+        with pytest.raises(NumericalError, match="at step 14, component 1 of object 2"):
+            integrate_packed([a, a, b], BadOnB(library), sched, 14, 16)
+
+
 def reference_features(x, t_step, sched, library):
     """featurize_points written one point at a time, straight from the spec."""
     mc = sched.max_components

@@ -381,7 +381,42 @@ def transition(
     global_seed: int,
     p_max: int | None = None,
 ) -> ComposedObject:
-    """Append the component named by ``action`` and draw its prior state."""
+    """Append the component named by ``action`` and draw its prior state:
+    :func:`grow`'s structural step, then the size-seeded prior draw."""
+    instance, open_attachments, points_before, n_points = _attach(x, action, library, sched, p_max)
+    s0 = initial_state_sample(global_seed, points_before, n_points)
+    return ComposedObject(
+        components=x.components + (instance,),
+        states=x.states + (s0,),
+        self_cond=x.self_cond + (s0.copy(),),
+        open_attachments=open_attachments,
+    )
+
+
+def grow(
+    x: ComposedObject,
+    action: ActionRef,
+    library: SynthonLibrary,
+    sched: Schedule,
+    p_max: int,
+) -> ComposedObject:
+    """:func:`transition` without the prior draw, for passes that read only
+    the composition: the same checks, components and open attachments, and
+    no states (the result's ``states`` and ``self_cond`` are empty)."""
+    instance, open_attachments, _, _ = _attach(x, action, library, sched, p_max)
+    return ComposedObject(components=x.components + (instance,), open_attachments=open_attachments)
+
+
+def _attach(
+    x: ComposedObject,
+    action: ActionRef,
+    library: SynthonLibrary,
+    sched: Schedule,
+    p_max: int | None,
+) -> tuple[ComponentInstance, tuple[tuple[int, int], ...], int, int]:
+    """The structural step of a transition: check ``action`` against ``x``;
+    return the new component, the open attachments after it, and the point
+    counts before it and of its synthon."""
     if x.is_terminal:
         raise InvariantError("transition on terminal object")
     if len(x.components) >= sched.max_components:
@@ -430,18 +465,11 @@ def transition(
         consumed = ref
         child_attachment = action.child_attachment
 
-    s0 = initial_state_sample(global_seed, points_before, synthon.n_points)
     open_attachments = [o for o in x.open_attachments if o != consumed]
     for j in range(len(synthon.attachments)):
         if j != child_attachment:
             open_attachments.append((new_index, j))
-
-    return ComposedObject(
-        components=x.components + (instance,),
-        states=x.states + (s0,),
-        self_cond=x.self_cond + (s0.copy(),),
-        open_attachments=tuple(open_attachments),
-    )
+    return instance, tuple(open_attachments), points_before, synthon.n_points
 
 
 def replay_actions(

@@ -24,7 +24,7 @@ from .compstate import (
     SynthonLibrary,
     complementary,
     ground_truth_layout,
-    transition,
+    grow,
 )
 from .errors import ConfigError, InvariantError
 from .schedule import Schedule
@@ -160,7 +160,7 @@ def validate_library(
                 f"(opens={x.open_attachments}, points={x.total_points(library)})"
             )
         for action in actions:
-            child = transition(x, action, library, sched, global_seed=0, p_max=rules.p_max)
+            child = grow(x, action, library, sched, rules.p_max)
             sig = _composition_signature(child, library)
             if sig not in seen:
                 seen.add(sig)
@@ -201,15 +201,16 @@ def generate_object(
     rules: RuleSet,
     sched: Schedule,
     sigma_data: float,
-    build_seed: int,
 ) -> ComposedObject:
+    """A composition grown by uniform legal actions (no prior states: the
+    jittered layout replaces them)."""
     x = EMPTY_OBJECT
     while not x.is_terminal:
         actions = action_space(x, rules, library)
         if not actions:
             raise InvariantError("dead end during generation; library not validated?")
         action = actions[int(rng.integers(len(actions)))]
-        x = transition(x, action, library, sched, global_seed=build_seed, p_max=rules.p_max)
+        x = grow(x, action, library, sched, rules.p_max)
     layout = ground_truth_layout(x.components, library)
     states = [s + rng.normal(0.0, sigma_data, size=s.shape) for s in layout]
     return x.with_states(states, self_cond=[s.copy() for s in states])
@@ -229,5 +230,5 @@ def generate_dataset(
     out = []
     for i in range(n):
         rng = rng_from(global_seed, "dataset", i)
-        out.append(generate_object(rng, library, rules, sched, sigma_data, build_seed=i))
+        out.append(generate_object(rng, library, rules, sched, sigma_data))
     return out

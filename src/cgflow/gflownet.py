@@ -30,7 +30,7 @@ from .compstate import (
 )
 from .domain import RewardParams, RuleSet, action_space, log_reward
 from .errors import ConfigError, InvariantError, NumericalError
-from .nn import Eval, ParamStore, Tape, adam_step, mlp_apply, register_mlp
+from .nn import Eval, ParamStore, Tape, adam_step, mlp_apply, register_mlp, stack_rows
 from .schedule import Schedule, action_steps
 from .seeding import rng_from
 from .stateflow import (
@@ -39,7 +39,7 @@ from .stateflow import (
     euler_rollout,
     feature_dim,
     featurize_points,
-    interpolate,
+    interpolant,
 )
 
 
@@ -101,19 +101,53 @@ class PolicyModel:
     def log_z(self) -> float:
         return float(self.store.get("log_Z"))
 
-    def _head_prefix(self, x: ComposedObject) -> str:
-        return "pol.head_first" if x.is_empty else "pol.head_add"
+    def forward(
+        self, ops, decisions: list[tuple[ComposedObject, int, list[ActionRef]]]
+    ) -> tuple[object, list[tuple[int, int]]]:
+        """Legal-action log-probabilities of a list of decisions ``(x,
+        t_step, actions)``: one vector of all their blocks, and each
+        decision's (offset, count) in it.  ``ops`` is a Tape or an Eval.
 
-    def logits(self, ops, x: ComposedObject, t_step: int, actions: list[ActionRef]):
-        """Legal-action logits; ``ops`` is a Tape or an Eval."""
-        feats, _ = featurize_points(x, t_step, self.sched, self.library)
-        if feats.shape[0] == 0:
-            pooled = ops.const(np.zeros(HIDDEN))
-        else:
-            pooled = ops.mean_rows(ops.silu(mlp_apply(ops, "pol.enc", ops.const(feats), 2)))
-        q = mlp_apply(ops, self._head_prefix(x), pooled, 2)
-        a = ops.const(action_features(x, actions, self.library, self.sched))
-        return ops.rowdot(mlp_apply(ops, "pol.act", a, 2), q)
+        ``pol.enc`` and ``pol.act`` have 64 output columns, so each runs once
+        on the stacked rows of every decision, and every row keeps the bits
+        it has alone.  The pooling, the head (one vector-matrix product per
+        pooled row, as for a single decision; a stacked product would change
+        the bits), the row-dot and the log-softmax run per decision.  So each
+        decision's log-probabilities are bitwise what it gets alone.
+        """
+        first = [j for j, (x, _, _) in enumerate(decisions) if not x.components]
+        n_first = len(first)
+        order = None
+        if 0 < n_first < len(decisions):
+            # empty objects take the first-action head on a zero context; they
+            # go first, so each head runs once, over its own block of rows
+            order = first + [j for j, (x, _, _) in enumerate(decisions) if x.components]
+            decisions = [decisions[j] for j in order]
+        heads = []
+        if n_first:
+            heads.append(_head(ops, "pol.head_first", ops.const(np.zeros((n_first, HIDDEN))), n_first))
+        if n_first < len(decisions):
+            feats, spans = stack_rows(
+                [featurize_points(x, t, self.sched, self.library)[0] for x, t, _ in decisions[n_first:]]
+            )
+            h = ops.silu(mlp_apply(ops, "pol.enc", ops.const(feats), 2))
+            heads.append(_head(ops, "pol.head_add", ops.segment_mean(h, spans), len(spans)))
+        q = heads[0] if len(heads) == 1 else ops.concat_rows(*heads)
+        acts, spans = stack_rows(
+            [action_features(x, actions, self.library, self.sched) for x, _, actions in decisions]
+        )
+        e = mlp_apply(ops, "pol.act", ops.const(acts), 2)
+        logp = ops.log_softmax(ops.rowdot(e, q, spans), spans)
+        if order is not None:
+            spans = [span for _, span in sorted(zip(order, spans))]
+        return logp, spans
+
+
+def _head(ops, prefix: str, pooled, n: int):
+    # one product per pooled row: a one-row product is numpy's vector-matrix
+    # product, the one a single decision's pooled vector gets, while a
+    # stacked product would change the bits (one row needs no spans)
+    return mlp_apply(ops, prefix, pooled, 2, spans=None if n == 1 else [(j, 1) for j in range(n)])
 
 
 def policy_distribution(
@@ -123,7 +157,8 @@ def policy_distribution(
     actions: list[ActionRef],
     tape: Tape | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """Softmax over legal-action logits: (probs, log-probs, log-prob node).
+    """Softmax over legal-action logits: (probs, log-probs, log-prob node);
+    :meth:`PolicyModel.forward` on one decision.
 
     Without a tape the same definition runs on an :class:`Eval`, and the
     node is None.
@@ -131,7 +166,7 @@ def policy_distribution(
     if not actions:
         raise InvariantError("policy_distribution requires a non-empty action list")
     ops = Eval(model.store) if tape is None else tape
-    logp_node = ops.log_softmax(model.logits(ops, x, t_step, actions))
+    logp_node, _ = model.forward(ops, [(x, t_step, actions)])
     logp = ops.value(logp_node)
     return np.exp(logp), logp, None if tape is None else logp_node
 
@@ -295,28 +330,32 @@ def ce_batch(
 
     Conditioning states are built with sigma=0 interpolation in the stored
     absolute frame with oracle self-conditioning (the targets themselves),
-    over re-rooted construction orders whenever one exists.
+    over re-rooted construction orders whenever one exists.  Each object
+    grows along its plan one transition per step, so step ``i`` sees the
+    object and prior states that ``interpolate`` would replay for it.
     """
     items = []
     for _ in range(batch):
         obj = dataset[int(rng.integers(len(dataset)))]
         plan = decompose(obj, library, rng=rng, exclude_recorded=True, canonicalize=False)
         sample_seed = int(rng.integers(1 << 63))
-        for i in range(len(plan)):
+        x = EMPTY_OBJECT
+        for i, step in enumerate(plan):
             t_step = i * sched.lam_steps
-            ns = interpolate(plan, t_step, 0.0, sched, library, sample_seed=sample_seed)
-            x_t = ns.x_t
-            if x_t.components:
-                x_t = x_t.with_states(x_t.states, self_cond=[p.s1.copy() for p in plan[: len(x_t.components)]])
+            x_t = x
+            if x.components:
+                _, states = interpolant(x, plan, t_step, sched)
+                x_t = x.with_states(states, self_cond=[p.s1 for p in plan[:i]])
             actions = action_space(x_t, rules, library)
-            truth = plan[i].action
             try:
-                idx = actions.index(truth)
+                idx = actions.index(step.action)
             except ValueError as exc:
                 raise InvariantError(
-                    f"ground-truth action {truth} not in legal set at step {i}"
+                    f"ground-truth action {step.action} not in legal set at step {i}"
                 ) from exc
             items.append((x_t, t_step, actions, idx))
+            if i + 1 < len(plan):
+                x = transition(x, step.action, library, sched, sample_seed)
     return items
 
 
@@ -325,15 +364,13 @@ def ce_loss_node(
     policy: PolicyModel,
     items: list[tuple[ComposedObject, int, list[ActionRef], int]],
 ) -> int:
-    """Mean negative log-probability of the ground-truth actions."""
+    """Mean negative log-probability of the ground-truth actions: one taped
+    policy forward over the whole batch."""
     if not items:
         raise InvariantError("ce_loss on an empty batch")
-    total = None
-    for x_t, t_step, actions, idx in items:
-        _, _, logp_node = policy_distribution(policy, x_t, t_step, actions, tape=tape)
-        picked = tape.pick(logp_node, idx)
-        total = picked if total is None else tape.add(total, picked)
-    return tape.scale(total, -1.0 / len(items))
+    logp, spans = policy.forward(tape, [(x_t, t_step, actions) for x_t, t_step, actions, _ in items])
+    truth = [offset + idx for (offset, _), (*_, idx) in zip(spans, items)]
+    return tape.scale(tape.sum_all(tape.pick(logp, truth)), -1.0 / len(items))
 
 
 def uniform_ce_baseline(

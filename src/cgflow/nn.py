@@ -1,9 +1,9 @@
 """Minimal differentiable core: parameter store, gradient tape, Adam.
 
 Everything is float64.  A :class:`Tape` records primitive operations
-(affine, broadcast add/sub/mul, SiLU, mean-pool over rows, the per-span
-mean, row broadcast and affine of a stacked matrix, column concat, row-wise
-dot, log-softmax, reductions) in execution order; the backward
+(affine, broadcast add/sub/mul, SiLU, and over the row spans of a stacked
+matrix the mean, row broadcast, affine, row-wise dot and log-softmax; row
+and column concat, picks, reductions) in execution order; the backward
 pass walks that order in reverse exactly once, accumulating gradients into
 the named parameter leaves.  Accumulation order is fixed, so identical
 seeds give bitwise-identical training runs.
@@ -229,6 +229,23 @@ def _stack(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def stack_rows(blocks: list[np.ndarray]) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The row blocks stacked into one matrix (a single block is returned
+    as it is), and each block's (offset, rows) in it."""
+    spans = []
+    offset = 0
+    for block in blocks:
+        m = len(block)
+        spans.append((offset, m))
+        offset += m
+    return _stack(blocks), spans
+
+
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max()
+    return shifted - np.log(np.exp(shifted).sum())
+
+
 class Tape:
     """Append-only op recorder; append order is the topological order."""
 
@@ -318,16 +335,6 @@ class Tape:
 
         return self._push(out, (x,), back)
 
-    def mean_rows(self, x: int) -> int:
-        xv = self.value(x)
-        n = xv.shape[0]
-        out = xv.mean(axis=0)
-
-        def back(g: np.ndarray):
-            return (np.repeat(g[None, :] / n, n, axis=0),)
-
-        return self._push(out, (x,), back)
-
     def segment_mean(self, x: int, spans: Spans) -> int:
         """(P, F) -> (k, F): row j is the mean of the rows of ``spans[j]``."""
         xv = self.value(x)
@@ -366,13 +373,24 @@ class Tape:
         split = av.shape[1]
         return self._push(out, (a, b), lambda g: (g[:, :split], g[:, split:]))
 
-    def rowdot(self, a: int, b: int) -> int:
-        """(N, F) x (F,) -> (N,): per-row elementwise product summed over F."""
+    def concat_rows(self, a: int, b: int) -> int:
         av, bv = self.value(a), self.value(b)
-        out = av @ bv
+        split = av.shape[0]
+        return self._push(np.concatenate([av, bv]), (a, b), lambda g: (g[:split], g[split:]))
+
+    def rowdot(self, a: int, b: int, spans: Spans) -> int:
+        """(N, F) x (k, F) -> (N,): each row of ``spans[j]`` dotted with row
+        j of ``b``, one matrix-vector product per span."""
+        av, bv = self.value(a), self.value(b)
+        out = _stack([av[o : o + m] @ bv[j] for j, (o, m) in enumerate(spans)])
 
         def back(g: np.ndarray):
-            return (np.outer(g, bv), g @ av)
+            ga = np.zeros_like(av)
+            gb = np.empty_like(bv)
+            for j, (o, m) in enumerate(spans):
+                ga[o : o + m] = np.outer(g[o : o + m], bv[j])
+                gb[j] = g[o : o + m] @ av[o : o + m]
+            return ga, gb
 
         return self._push(out, (a, b), back)
 
@@ -380,22 +398,28 @@ class Tape:
         xv = self.value(x)
         return self._push(xv.sum(), (x,), lambda g: (np.full(xv.shape, float(g)),))
 
-    def log_softmax(self, x: int) -> int:
+    def log_softmax(self, x: int, spans: Spans) -> int:
+        """Log-softmax of a vector, taken separately over each span of entries."""
         xv = self.value(x)
-        shifted = xv - xv.max()
-        out = shifted - np.log(np.exp(shifted).sum())
+        out = _stack([_log_softmax(xv[o : o + m]) for o, m in spans])
 
         def back(g: np.ndarray):
-            return (g - np.exp(out) * g.sum(),)
+            gx = np.zeros_like(xv)
+            for o, m in spans:
+                gs = g[o : o + m]
+                gx[o : o + m] = gs - np.exp(out[o : o + m]) * gs.sum()
+            return (gx,)
 
         return self._push(out, (x,), back)
 
-    def pick(self, x: int, index: int) -> int:
+    def pick(self, x: int, index: int | list[int]) -> int:
+        """Entry ``index`` of a vector, or the vector of entries at a list of
+        distinct indices."""
         xv = self.value(x)
 
         def back(g: np.ndarray):
             gx = np.zeros_like(xv)
-            gx[index] = float(g)
+            gx[index] = g
             return (gx,)
 
         return self._push(xv[index], (x,), back)
@@ -412,15 +436,20 @@ class Tape:
             g = grads[idx]
             if g is None:
                 continue
+            # a node's gradient is complete once the walk reaches it; drop it
+            # then, so a packed tape's large gradients do not all stay alive
+            grads[idx] = None
             node = self._nodes[idx]
             if node.param_name is not None:
                 acc = param_grads.get(node.param_name)
                 param_grads[node.param_name] = g.copy() if acc is None else acc + g
             if node.backward is None:
                 continue
+            # no backward writes into a gradient array, so a parent may
+            # hold the array (or a view of it) that its child passed down
             for parent, pg in zip(node.parents, node.backward(g)):
                 if grads[parent] is None:
-                    grads[parent] = pg.copy()
+                    grads[parent] = pg
                 else:
                     grads[parent] = grads[parent] + pg
         return param_grads
@@ -456,10 +485,6 @@ class Eval:
         return x * (1.0 / (1.0 + np.exp(-x)))
 
     @staticmethod
-    def mean_rows(x: np.ndarray) -> np.ndarray:
-        return x.mean(axis=0)
-
-    @staticmethod
     def segment_mean(x: np.ndarray, spans: Spans) -> np.ndarray:
         return _stack([_slice_mean(x, o, m) for o, m in spans])
 
@@ -476,13 +501,16 @@ class Eval:
         return np.concatenate([a, b], axis=1)
 
     @staticmethod
-    def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a @ b
+    def concat_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.concatenate([a, b])
 
     @staticmethod
-    def log_softmax(x: np.ndarray) -> np.ndarray:
-        shifted = x - x.max()
-        return shifted - np.log(np.exp(shifted).sum())
+    def rowdot(a: np.ndarray, b: np.ndarray, spans: Spans) -> np.ndarray:
+        return _stack([a[o : o + m] @ b[j] for j, (o, m) in enumerate(spans)])
+
+    @staticmethod
+    def log_softmax(x: np.ndarray, spans: Spans) -> np.ndarray:
+        return _stack([_log_softmax(x[o : o + m]) for o, m in spans])
 
 
 # ---------------------------------------------------------------------------
@@ -516,16 +544,21 @@ def register_mlp(
             store.register(name, glorot_uniform(rng, shape))
 
 
-def mlp_apply(ops, prefix: str, x, n_layers: int):
+def mlp_apply(ops, prefix: str, x, n_layers: int, spans: Spans | None = None):
     """Affine-SiLU stack with a linear final layer, reading weights by prefix.
 
-    ``ops`` is a :class:`Tape` or an :class:`Eval`; ``x`` is one of its handles.
+    ``ops`` is a :class:`Tape` or an :class:`Eval`; ``x`` is one of its
+    handles.  With ``spans`` every layer's product is taken per span of rows
+    (``segment_affine``) instead of once over the whole matrix.
     """
     h = x
     for i, (w, b) in enumerate(_layer_names(prefix, n_layers)):
         if i:
             h = ops.silu(h)
-        h = ops.affine(h, ops.param(w), ops.param(b))
+        if spans is None:
+            h = ops.affine(h, ops.param(w), ops.param(b))
+        else:
+            h = ops.segment_affine(h, ops.param(w), ops.param(b), spans)
     return h
 
 

@@ -20,6 +20,7 @@ from .compstate import (
     ComposedObject,
     EMPTY_OBJECT,
     SynthonLibrary,
+    grow,
     sequence_key,
     transition,
 )
@@ -73,7 +74,8 @@ class SequenceTable:
 def _enumerate_bfs_keys(
     rules: RuleSet, sched: Schedule, library: SynthonLibrary, cap: int
 ) -> set[str]:
-    """Symbolic enumeration of action sequences (states never integrated)."""
+    """Symbolic enumeration of action sequences: compositions only, no
+    states drawn or integrated."""
     queue: deque[tuple[ComposedObject, tuple[ActionRef, ...]]] = deque([(EMPTY_OBJECT, ())])
     done: set[str] = set()
     while queue:
@@ -84,8 +86,7 @@ def _enumerate_bfs_keys(
                 raise InvariantError(f"sequence enumeration exceeded {cap}")
             continue
         for action in action_space(x, rules, library):
-            child = transition(x, action, library, sched, global_seed=0, p_max=rules.p_max)
-            queue.append((child, actions + (action,)))
+            queue.append((grow(x, action, library, sched, rules.p_max), actions + (action,)))
     return done
 
 

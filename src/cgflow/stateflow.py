@@ -31,7 +31,7 @@ from .compstate import (
     replay_actions,
 )
 from .errors import InvariantError, NumericalError
-from .nn import Eval, ParamStore, Spans, Tape, adam_step, mlp_apply, register_mlp
+from .nn import Eval, ParamStore, Spans, Tape, adam_step, mlp_apply, register_mlp, stack_rows
 from .schedule import Schedule, kappa, t_end_step, t_local_from_steps
 from .seeding import rng_from
 
@@ -203,21 +203,23 @@ def interpolate(
 
     k = sum(1 for i in range(len(plan)) if i * sched.lam_steps < t_step)
     x = replay_actions([s.action for s in plan[:k]], library, sched, sample_seed)
-    states = []
-    t_locals = []
-    targets = []
-    for i in range(k):
-        u = t_local_from_steps(t_step, i * sched.lam_steps, sched)
-        s0 = x.states[i]
-        s1 = plan[i].s1
-        mean = u * s1 + (1.0 - u) * s0
-        if sigma > 0:
-            mean = mean + rng.normal(0.0, sigma, size=mean.shape)
-        states.append(mean)
-        t_locals.append(u)
-        targets.append(s1.copy())
+    t_locals, states = interpolant(x, plan, t_step, sched)
+    if sigma > 0:
+        states = [mean + rng.normal(0.0, sigma, size=mean.shape) for mean in states]
+    targets = tuple(s.s1.copy() for s in plan[:k])
     x_t = x.with_states(states, self_cond=[s.copy() for s in states]) if k else x
-    return NoisySample(x_t=x_t, t_step=t_step, t_locals=tuple(t_locals), targets=tuple(targets))
+    return NoisySample(x_t=x_t, t_step=t_step, t_locals=tuple(t_locals), targets=targets)
+
+
+def interpolant(
+    x: ComposedObject, plan: list[PlanStep], t_step: int, sched: Schedule
+) -> tuple[list[float], list[np.ndarray]]:
+    """Local times ``u`` and noise-free states ``u * S1 + (1 - u) * S0`` at
+    ``t_step`` of the components of ``x``, the object that the first
+    ``len(x.components)`` steps of ``plan`` build, with its prior states S0."""
+    t_locals = [t_local_from_steps(t_step, i * sched.lam_steps, sched) for i in range(len(x.components))]
+    states = [u * step.s1 + (1.0 - u) * s0 for u, step, s0 in zip(t_locals, plan, x.states)]
+    return t_locals, states
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +228,20 @@ def interpolate(
 
 
 def state_loss(model: StateFlowModel, tape: Tape, batch: list[NoisySample]) -> int:
-    """Mean over the batch of summed squared clean-state errors."""
+    """Mean over the batch of summed squared clean-state errors: one taped
+    forward over the stacked point rows of every sample, each sample's
+    predictions bitwise what it gets alone."""
     if not batch:
         raise InvariantError("state_loss on an empty batch")
-    total: int | None = None
-    for sample in batch:
-        if not sample.targets:
-            continue
-        feats, _ = featurize_points(sample.x_t, sample.t_step, model.sched, model.library)
-        pred = model.forward(tape, feats, ((0, feats.shape[0]),))
-        target = tape.const(np.concatenate(sample.targets, axis=0))
-        diff = tape.sub(pred, target)
-        sq = tape.sum_all(tape.mul(diff, diff))
-        total = sq if total is None else tape.add(total, sq)
-    if total is None:
+    live = [s for s in batch if s.targets]
+    if not live:
         raise InvariantError("state_loss batch has no generated components")
-    return tape.scale(total, 1.0 / len(batch))
+    feats, spans = stack_rows(
+        [featurize_points(s.x_t, s.t_step, model.sched, model.library)[0] for s in live]
+    )
+    pred = model.forward(tape, feats, spans)
+    diff = tape.sub(pred, tape.const(np.concatenate([t for s in live for t in s.targets])))
+    return tape.scale(tape.sum_all(tape.mul(diff, diff)), 1.0 / len(batch))
 
 
 # ---------------------------------------------------------------------------
@@ -311,27 +311,27 @@ def integrate_packed(
     """
     if not from_step <= to_step <= sched.n_steps:
         raise InvariantError(f"invalid rollout interval [{from_step}, {to_step}]")
-    live = [x for x in xs if x.components] if to_step > from_step else []
-    if not live:
-        return list(xs)
-    rolled: list[ComposedObject] = []
-    pack: list[ComposedObject] = []
+    out = list(xs)
+    live = [j for j, x in enumerate(xs) if x.components] if to_step > from_step else []
+    packs: list[list[int]] = []
     rows = 0
-    for x in live:
-        m = sum(s.shape[0] for s in x.states)
-        if pack and rows + m > PACK_ROWS:
-            rolled += _integrate_pack(pack, len(rolled), model, sched, from_step, to_step, snap)
-            pack, rows = [], 0
-        pack.append(x)
+    for j in live:
+        m = sum(s.shape[0] for s in xs[j].states)
+        if not packs or rows + m > PACK_ROWS:
+            packs.append([])
+            rows = 0
+        packs[-1].append(j)
         rows += m
-    rolled += _integrate_pack(pack, len(rolled), model, sched, from_step, to_step, snap)
-    it = iter(rolled)
-    return [next(it) if x.components else x for x in xs]
+    for pack in packs:
+        rolled = _integrate_pack([xs[j] for j in pack], pack, model, sched, from_step, to_step, snap)
+        for j, x in zip(pack, rolled):
+            out[j] = x
+    return out
 
 
 def _integrate_pack(
     live: list[ComposedObject],
-    first: int,
+    index: list[int],
     model: StateFlowModel,
     sched: Schedule,
     from_step: int,
@@ -339,7 +339,7 @@ def _integrate_pack(
     snap: bool,
 ) -> list[ComposedObject]:
     """:func:`integrate_packed` on one pack of objects with components;
-    ``first`` is the pack's offset among them, for error messages."""
+    ``index`` holds their positions among the inputs, for error messages."""
     statics, spans, counts, gens, ends = [], [], [], [], []
     offset = 0
     for x in live:
@@ -375,7 +375,7 @@ def _integrate_pack(
         if not np.isfinite(pred).all():
             j, c = _first_non_finite(pred, live)
             raise NumericalError(
-                f"state-flow prediction not finite at step {s}, component {c} of object {first + j}"
+                f"state-flow prediction not finite at step {s}, component {c} of object {index[j]}"
             )
         stepped = state + (pred - state) * rate[i]
         state = np.where(remaining[i] > 0, stepped, state) if s >= first_masked else stepped
@@ -436,11 +436,18 @@ class StateFlowHyper:
 
 
 def _with_predicted_self_cond(
-    model: StateFlowModel, sample: NoisySample
-) -> NoisySample:
-    preds = model.predict(sample.x_t, sample.t_step)
-    x2 = sample.x_t.with_states(sample.x_t.states, self_cond=preds)
-    return replace(sample, x_t=x2)
+    model: StateFlowModel, batch: list[NoisySample]
+) -> list[NoisySample]:
+    """The batch with each sample's self-conditioning set to the model's
+    clean-state estimates, from one tape-free forward over the stacked
+    samples (bitwise each sample's own ``predict``)."""
+    blocks = [featurize_points(s.x_t, s.t_step, model.sched, model.library) for s in batch]
+    feats, spans = stack_rows([f for f, _ in blocks])
+    pred = model.predict_packed(feats, spans)
+    return [
+        replace(s, x_t=s.x_t.with_states(s.x_t.states, self_cond=[pred[o + c : o + c + m] for c, m in slices]))
+        for s, (o, _), (_, slices) in zip(batch, spans, blocks)
+    ]
 
 
 def train_stateflow(
@@ -474,7 +481,7 @@ def train_stateflow(
                 interpolate(plan, t_step, hyper.sigma, sched, library, rng, sample_seed)
             )
         if rng.random() < hyper.self_cond_prob:
-            batch = [_with_predicted_self_cond(model, s) for s in batch]
+            batch = _with_predicted_self_cond(model, batch)
         tape = Tape(model.store)
         loss_node = state_loss(model, tape, batch)
         grads = tape.backward(loss_node)

@@ -13,6 +13,7 @@ from cgflow.compstate import (
     SynthonLibrary,
     decompose,
     ground_truth_layout,
+    grow,
     initial_state_sample,
     plan_for_order,
     replay_actions,
@@ -119,6 +120,42 @@ class TestTransition:
         x1 = build([FirstSynthon("b2a"), AddSynthon(0, 0, "l_ab", 0)], library, sched, seed=5)
         expected = initial_state_sample(5, 2, 2)
         assert np.array_equal(x1.states[1], expected)
+
+
+class TestGrow:
+    def test_matches_transition_without_states(self, library, fig2_sched):
+        sched = fig2_sched
+        rules = RuleSet(max_len=4, p_max=14)
+        level = [(EMPTY_OBJECT, EMPTY_OBJECT)]
+        seen = 0
+        while level:
+            nxt = []
+            for x, bare in level:
+                for action in action_space(x, rules, library):
+                    full = transition(x, action, library, sched, 3, p_max=rules.p_max)
+                    child = grow(bare, action, library, sched, rules.p_max)
+                    assert child.components == full.components
+                    assert child.open_attachments == full.open_attachments
+                    assert child.states == () and child.self_cond == ()
+                    seen += 1
+                    if not full.is_terminal:
+                        nxt.append((full, child))
+            level = nxt
+        assert seen == 84  # every edge of the max_len=4 tree
+
+    def test_same_checks_as_transition(self, library, sched):
+        x = build([FirstSynthon("b2a")], library, sched)
+        done = build([FirstSynthon("b2a"), AddSynthon(0, 0, "b2b", 0)], library, sched)
+        for obj, action, p_max in [
+            (x, AddSynthon(0, 0, "b2b", 0), 3),  # point budget
+            (x, AddSynthon(0, 0, "b2a", 0), 12),  # klasses
+            (done, AddSynthon(0, 0, "b2b", 0), 12),  # terminal
+            (EMPTY_OBJECT, FirstSynthon("l_ab"), 12),  # linker first
+        ]:
+            with pytest.raises(InvariantError):
+                transition(obj, action, library, sched, 1, p_max=p_max)
+            with pytest.raises(InvariantError):
+                grow(obj, action, library, sched, p_max)
 
 
 class TestGroundTruthLayout:

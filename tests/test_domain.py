@@ -23,6 +23,7 @@ from cgflow.domain import (
 )
 from cgflow.errors import ConfigError, InvariantError
 from cgflow.schedule import Schedule
+from cgflow.seeding import rng_from
 
 
 class TestActionSpace:
@@ -187,6 +188,21 @@ class TestGenerateDataset:
         data = generate_dataset(4000, 11, library, rules, sched)
         frac2 = sum(1 for x in data if len(x.components) == 2) / len(data)
         assert abs(frac2 - 0.5) < 0.02
+
+    def test_rows_match_transition_built_reference(self, library, fig2_sched):
+        # generation used to grow objects through full transitions, whose
+        # prior draws the jittered layout then replaced; rows are unchanged
+        rules = RuleSet(max_len=4, p_max=14)
+        for i, x in enumerate(generate_dataset(60, 17, library, rules, fig2_sched)):
+            rng = rng_from(17, "dataset", i)
+            ref = EMPTY_OBJECT
+            while not ref.is_terminal:
+                actions = action_space(ref, rules, library)
+                action = actions[int(rng.integers(len(actions)))]
+                ref = transition(ref, action, library, fig2_sched, i, p_max=rules.p_max)
+            layout = ground_truth_layout(ref.components, library)
+            ref = ref.with_states([s + rng.normal(0.0, 0.05, size=s.shape) for s in layout])
+            assert x.to_dict() == ref.to_dict()
 
     def test_states_near_layout(self, library, rules, sched):
         data = generate_dataset(20, 13, library, rules, sched)

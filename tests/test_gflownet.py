@@ -7,6 +7,7 @@ from cgflow.compstate import (
     EMPTY_OBJECT,
     AddSynthon,
     FirstSynthon,
+    decompose,
     replay_actions,
     sequence_key,
     transition,
@@ -28,10 +29,11 @@ from cgflow.gflownet import (
     train_policy_tb,
     uniform_ce_baseline,
 )
-from cgflow.nn import Tape, adam_step, finite_difference_check
+from cgflow.nn import Eval, Tape, adam_step, finite_difference_check, mlp_apply
+from cgflow.oracle import enumerate_sequences
 from cgflow.schedule import Schedule, action_steps
 from cgflow.seeding import mix64, rng_from
-from cgflow.stateflow import HIDDEN, StateFlowModel, euler_rollout, featurize_points
+from cgflow.stateflow import HIDDEN, StateFlowModel, euler_rollout, featurize_points, interpolate
 
 
 def traj_key(traj):
@@ -59,6 +61,52 @@ def reference_log_probs(policy, x, t_step, actions):
     logits = dense(silu(dense(a, "pol.act.0")), "pol.act.1") @ q
     shifted = logits - logits.max()
     return shifted - np.log(np.exp(shifted).sum())
+
+
+def per_decision_log_probs(policy, x, t_step, actions):
+    """The policy forward as it was written for one decision at a time
+    (``PolicyModel.logits`` and a log-softmax), on an Eval: the reference
+    the packed forward must match bitwise."""
+    ops = Eval(policy.store)
+    feats, _ = featurize_points(x, t_step, policy.sched, policy.library)
+    if feats.shape[0] == 0:
+        pooled = np.zeros(HIDDEN)
+    else:
+        pooled = ops.silu(mlp_apply(ops, "pol.enc", feats, 2)).mean(axis=0)
+    q = mlp_apply(ops, "pol.head_first" if x.is_empty else "pol.head_add", pooled, 2)
+    a = action_features(x, actions, policy.library, policy.sched)
+    logits = mlp_apply(ops, "pol.act", a, 2) @ q
+    shifted = logits - logits.max()
+    return shifted - np.log(np.exp(shifted).sum())
+
+
+def replayed_ce_batch(dataset, rules, library, sched, rng, batch):
+    """``ce_batch`` as it was written: every step replays its prefix through
+    ``interpolate``."""
+    items = []
+    for _ in range(batch):
+        obj = dataset[int(rng.integers(len(dataset)))]
+        plan = decompose(obj, library, rng=rng, exclude_recorded=True, canonicalize=False)
+        sample_seed = int(rng.integers(1 << 63))
+        for i in range(len(plan)):
+            t_step = i * sched.lam_steps
+            x_t = interpolate(plan, t_step, 0.0, sched, library, sample_seed=sample_seed).x_t
+            if x_t.components:
+                x_t = x_t.with_states(x_t.states, self_cond=[p.s1.copy() for p in plan[: len(x_t.components)]])
+            actions = action_space(x_t, rules, library)
+            items.append((x_t, t_step, actions, actions.index(plan[i].action)))
+    return items
+
+
+def randomized_policy(sched, library, seed):
+    """A policy with every parameter drawn at random, so no head or bias is
+    zero as at initialisation."""
+    policy = PolicyModel.create(sched, library, seed=seed)
+    rng = rng_from(seed, "randomized")
+    for name in policy.store.names():
+        value = policy.store.get(name)
+        policy.store.set(name, rng.normal(scale=0.3, size=value.shape))
+    return policy
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +166,54 @@ class TestPolicyDistribution:
         policy, _ = models
         with pytest.raises(Exception):
             policy_distribution(policy, EMPTY_OBJECT, 0, [])
+
+
+def assert_packed_matches_per_decision(policy, decisions):
+    for ops in (Eval(policy.store), Tape(policy.store)):
+        node, spans = policy.forward(ops, decisions)
+        logp = ops.value(node)
+        assert sum(m for _, m in spans) == len(logp)
+        for (x, t_step, actions), (offset, m) in zip(decisions, spans):
+            assert m == len(actions)
+            want = per_decision_log_probs(policy, x, t_step, actions)
+            assert logp[offset : offset + m].tobytes() == want.tobytes()
+
+
+class TestPackedForward:
+    def test_ce_batch_matches_per_decision_bitwise(self, library, sched, rules):
+        policy = randomized_policy(sched, library, 41)
+        data = generate_dataset(32, 6, library, rules, sched)
+        items = ce_batch(data, rules, library, sched, rng_from(4), 24)
+        decisions = [(x, t, a) for x, t, a, _ in items]
+        # a decision with a single legal action has log-probability 0.0
+        # whatever its logit's bits
+        decisions.append((items[-1][0], items[-1][1], items[-1][2][:1]))
+        assert {x.is_empty for x, _, _ in decisions} == {True, False}
+        assert decisions[0][0].is_empty and not decisions[1][0].is_empty
+        assert_packed_matches_per_decision(policy, decisions)
+
+    def test_default_table_matches_per_decision_bitwise(self, library, sched, rules, reward_params):
+        policy = randomized_policy(sched, library, 42)
+        state_model = StateFlowModel.create(sched, library, seed=43)
+        table = enumerate_sequences(rules, sched, state_model, library, reward_params, 9)
+        decisions = [(d.state, d.step, list(d.actions)) for d in table.decisions.values()]
+        assert len(decisions) == 13
+        assert_packed_matches_per_decision(policy, decisions)
+
+    def test_ce_loss_is_one_forward(self, library, sched, rules, monkeypatch):
+        policy = randomized_policy(sched, library, 45)
+        data = generate_dataset(32, 6, library, rules, sched)
+        items = ce_batch(data, rules, library, sched, rng_from(5), 16)
+        calls = []
+        original = policy.forward
+        monkeypatch.setattr(policy, "forward", lambda ops, ds: calls.append(len(ds)) or original(ops, ds))
+        tape = Tape(policy.store)
+        loss = ce_loss_node(tape, policy, items)
+        assert calls == [len(items)]
+        # the tape's size does not grow with the batch
+        assert len(tape) < 50
+        want = -np.mean([per_decision_log_probs(policy, x, t, a)[i] for x, t, a, i in items])
+        assert float(tape.value(loss)) == pytest.approx(want, rel=1e-12)
 
 
 class TestSampleTrajectory:
@@ -469,6 +565,31 @@ class TestCELoss:
             lambda tape: ce_loss_node(tape, policy, items), policy.store, rng_from(5)
         )
         assert err < 1e-4
+
+    def test_gradient_matches_finite_differences_at_batch_eight(self, library, sched, rules):
+        policy = randomized_policy(sched, library, 34)
+        data = generate_dataset(16, 6, library, rules, sched)
+        items = ce_batch(data, rules, library, sched, rng_from(22), 8)
+        assert {x.is_empty for x, _, _, _ in items} == {True, False}
+        err = finite_difference_check(
+            lambda tape: ce_loss_node(tape, policy, items), policy.store, rng_from(6)
+        )
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("shape", ["default", "wide"])
+    def test_incremental_batch_matches_replayed_prefixes(self, library, sched, rules, shape):
+        if shape == "wide":
+            sched = Schedule(lam=0.1, t_window=0.4, n_steps=20, max_components=8)
+            rules = RuleSet(max_len=7, p_max=18)
+        data = generate_dataset(40, 8, library, rules, sched)
+        got = ce_batch(data, rules, library, sched, rng_from(3), 40)
+        want = replayed_ce_batch(data, rules, library, sched, rng_from(3), 40)
+        assert len(got) == len(want) > 80
+        for (x, t, a, i), (rx, rt, ra, ri) in zip(got, want):
+            assert (x.components, x.open_attachments, t, a, i) == (rx.components, rx.open_attachments, rt, ra, ri)
+            for u, v in zip(x.states + x.self_cond, rx.states + rx.self_cond):
+                assert u.tobytes() == v.tobytes()
+            assert len(x.states) == len(x.self_cond) == len(x.components)
 
     def test_truth_always_legal(self, library, sched, rules):
         data = generate_dataset(64, 6, library, rules, sched)

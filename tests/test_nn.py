@@ -35,18 +35,25 @@ def mlp_reference(store, prefix, x, n_layers):
     return h
 
 
-# every op a model forward runs on an Eval, with its input shapes
+# every op a model forward runs on an Eval, with its input shapes; the span
+# ops also run on one span, the layout of a single object or decision
 EVAL_OPS = [
     pytest.param("affine", [(6, 5), (5, 4), (4,)], id="affine"),
     pytest.param("affine", [(5,), (5, 4), (4,)], id="affine-vector"),
     pytest.param("silu", [(6, 5)], id="silu"),
-    pytest.param("mean_rows", [(6, 5)], id="mean_rows"),
     pytest.param("broadcast_rows", [(3, 5), [(0, 2), (2, 1), (3, 4)]], id="broadcast_rows"),
+    pytest.param("broadcast_rows", [(1, 5), [(0, 6)]], id="broadcast_rows-one-span"),
     pytest.param("segment_mean", [(7, 5), [(0, 2), (2, 1), (3, 4)]], id="segment_mean"),
+    pytest.param("segment_mean", [(6, 5), [(0, 6)]], id="segment_mean-one-span"),
     pytest.param("segment_affine", [(7, 5), (5, 2), (2,), [(0, 3), (3, 4)]], id="segment_affine"),
+    pytest.param("segment_affine", [(3, 5), (5, 4), (4,), [(0, 1), (1, 1), (2, 1)]], id="segment_affine-rows"),
+    pytest.param("segment_affine", [(6, 5), (5, 2), (2,), [(0, 6)]], id="segment_affine-one-span"),
     pytest.param("concat_cols", [(6, 5), (6, 3)], id="concat_cols"),
-    pytest.param("rowdot", [(6, 5), (5,)], id="rowdot"),
-    pytest.param("log_softmax", [(7,)], id="log_softmax"),
+    pytest.param("concat_rows", [(2, 5), (4, 5)], id="concat_rows"),
+    pytest.param("rowdot", [(7, 5), (3, 5), [(0, 2), (2, 1), (3, 4)]], id="rowdot"),
+    pytest.param("rowdot", [(6, 5), (1, 5), [(0, 6)]], id="rowdot-one-span"),
+    pytest.param("log_softmax", [(7,), [(0, 3), (3, 1), (4, 3)]], id="log_softmax"),
+    pytest.param("log_softmax", [(7,), [(0, 7)]], id="log_softmax-one-span"),
 ]
 
 
@@ -70,6 +77,11 @@ class TestEval:
         got = getattr(Eval(ParamStore()), op)(*eval_args)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+    def test_parity_list_names_every_op(self):
+        # a new Eval op must bring its Tape/Eval parity case
+        ops = {name for name in vars(Eval) if not name.startswith("_")} - {"value", "const"}
+        assert {p.values[0] for p in EVAL_OPS} == ops
 
     def test_param_and_value_are_the_arrays(self, rng):
         store = make_store(rng, {"w": (3, 2)})
@@ -141,14 +153,16 @@ class TestTapeOps:
 
     def test_log_softmax_normalizes(self, rng):
         tape = Tape()
-        node = tape.log_softmax(tape.const(rng.normal(size=7)))
-        assert np.exp(tape.value(node)).sum() == pytest.approx(1.0, abs=1e-12)
+        spans = [(0, 7), (7, 1), (8, 4)]
+        out = tape.value(tape.log_softmax(tape.const(rng.normal(size=12)), spans))
+        for o, m in spans:
+            assert np.exp(out[o : o + m]).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_shift_invariance_of_log_softmax(self, rng):
         logits = rng.normal(size=5)
         t1, t2 = Tape(), Tape()
-        a = t1.value(t1.log_softmax(t1.const(logits)))
-        b = t2.value(t2.log_softmax(t2.const(logits + 123.4)))
+        a = t1.value(t1.log_softmax(t1.const(logits), [(0, 5)]))
+        b = t2.value(t2.log_softmax(t2.const(logits + 123.4), [(0, 5)]))
         assert np.allclose(a, b, atol=1e-12)
 
     def test_finite_difference_random_graph(self, rng):
@@ -158,14 +172,14 @@ class TestTapeOps:
 
         def build(tape: Tape) -> int:
             out = mlp_apply(tape, "m", tape.const(x), n_layers=3)
-            pooled = tape.mean_rows(tape.silu(out))
+            pooled = tape.segment_mean(tape.silu(out), [(0, 4)])
             return tape.sum_all(tape.mul(pooled, pooled))
 
         err = finite_difference_check(build, store, rng_from(8), n_coords=64)
         assert err < 1e-4
 
     def test_mean_rows_broadcast_concat_rowdot_gradients(self, rng):
-        store = make_store(rng, {"w": (8, 4), "b": (4,)})
+        store = make_store(rng, {"w": (8, 4), "b": (4,), "v": (4, 4)})
         x = rng.normal(size=(5, 4))
         probe = rng.normal(size=(3, 4))
 
@@ -175,9 +189,13 @@ class TestTapeOps:
             ctx = tape.broadcast_rows(tape.segment_mean(base, spans), spans)
             joint = tape.concat_cols(base, ctx)
             proj = tape.segment_affine(joint, tape.param("w"), tape.param("b"), spans)
-            scores = tape.rowdot(proj, tape.mean_rows(tape.const(probe)))
-            picked = tape.pick(tape.log_softmax(scores), 2)
-            return tape.mul(picked, picked)
+            # one query row per span: a parameter-dependent row stacked on a
+            # mean over the probe rows
+            head = tape.affine(tape.segment_mean(tape.const(probe), [(0, 3)]), tape.param("v"))
+            query = tape.concat_rows(head, tape.segment_mean(proj, [(0, 5)]))
+            logp = tape.log_softmax(tape.rowdot(proj, query, spans), spans)
+            picked = tape.pick(logp, [1, 4])
+            return tape.sum_all(tape.mul(picked, picked))
 
         err = finite_difference_check(build, store, rng_from(9), n_coords=32)
         assert err < 1e-4

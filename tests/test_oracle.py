@@ -23,7 +23,7 @@ from cgflow.compstate import (
 from cgflow.domain import RuleSet, action_space, validate_library
 from cgflow.errors import InvariantError
 from cgflow.gflownet import PolicyModel, next_decision_step, policy_distribution, sample_trajectory
-from cgflow.nn import ParamStore
+from cgflow.nn import ParamStore, stack_rows
 from cgflow.oracle import (
     _enumerate_bfs_keys,
     enumerate_sequences,
@@ -354,10 +354,12 @@ class TabularPolicy:
         self.conditionals = conditionals  # prefix key -> {action: prob}
         self.store = ParamStore()  # no parameters: logits come from the table
 
-    def logits(self, ops, x, t_step, actions):
-        prefix = sequence_key(recorded_actions(x))
-        probs = self.conditionals[prefix]
-        return ops.const(np.log(np.array([probs[a] for a in actions])))
+    def forward(self, ops, decisions):
+        logits, spans = stack_rows([
+            np.log(np.array([self.conditionals[sequence_key(recorded_actions(x))][a] for a in actions]))
+            for x, _, actions in decisions
+        ])
+        return ops.log_softmax(ops.const(logits), spans), spans
 
 
 class TestTBFixedPoint:

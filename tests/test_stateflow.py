@@ -173,6 +173,70 @@ class TestStateLoss:
         assert err < 1e-4
 
 
+def noisy_batch(library, sched, rules, n, seed, t_step=None):
+    """``n`` training samples as ``train_stateflow`` draws them."""
+    data = generate_dataset(n, seed, library, rules, sched)
+    rng = rng_from(seed, "batch")
+    batch = []
+    for obj in data:
+        plan = decompose(obj, library, rng=rng)
+        step = int(rng.integers(1, sched.n_steps + 1)) if t_step is None else t_step
+        batch.append(interpolate(plan, step, 0.05, sched, library, rng, int(rng.integers(1 << 63))))
+    return batch
+
+
+class TestPackedStateLoss:
+    def test_one_forward_with_per_sample_predictions(self, library, sched, rules, monkeypatch):
+        model = StateFlowModel.create(sched, library, seed=6)
+        batch = noisy_batch(library, sched, rules, 12, 3)
+        batch.append(noisy_batch(library, sched, rules, 1, 4, t_step=0)[0])  # no components
+        calls = []
+        original = model.forward
+
+        def forward(ops, feats, spans):
+            out = original(ops, feats, spans)
+            calls.append((list(spans), ops.value(out)))
+            return out
+
+        monkeypatch.setattr(model, "forward", forward)
+        tape = Tape(model.store)
+        loss = state_loss(model, tape, batch)
+        [(spans, pred)] = calls
+        live = [s for s in batch if s.targets]
+        assert len(spans) == len(live) == len(batch) - 1
+        want = 0.0
+        for (o, m), sample in zip(spans, live):
+            alone = np.concatenate(model.predict(sample.x_t, sample.t_step))
+            assert pred[o : o + m].tobytes() == alone.tobytes()
+            want += float(((alone - np.concatenate(sample.targets)) ** 2).sum())
+        assert float(tape.value(loss)) == pytest.approx(want / len(batch), rel=1e-12)
+
+    def test_gradient_matches_finite_differences_at_batch_ten(self, library, sched, rules):
+        model = StateFlowModel.create(sched, library, seed=7)
+        batch = noisy_batch(library, sched, rules, 10, 5)
+        err = finite_difference_check(
+            lambda tape: state_loss(model, tape, batch), model.store, rng_from(4)
+        )
+        assert err < 1e-4
+
+    def test_self_conditioning_pass_is_one_forward(self, library, sched, rules, monkeypatch):
+        model = StateFlowModel.create(sched, library, seed=8)
+        batch = noisy_batch(library, sched, rules, 16, 6)
+        calls = []
+        original = model.predict_packed
+        monkeypatch.setattr(
+            model, "predict_packed", lambda f, spans: calls.append(len(spans)) or original(f, spans)
+        )
+        out = sfmod._with_predicted_self_cond(model, batch)
+        assert calls == [len(batch)]
+        monkeypatch.setattr(model, "predict_packed", original)
+        for before, after in zip(batch, out):
+            assert [a.tobytes() for a in after.x_t.states] == [b.tobytes() for b in before.x_t.states]
+            alone = model.predict(before.x_t, before.t_step)
+            assert [c.tobytes() for c in after.x_t.self_cond] == [p.tobytes() for p in alone]
+            assert after.targets is before.targets and after.t_step == before.t_step
+
+
 class TestEulerRollout:
     def test_rectified_reaches_targets_without_snap(self, library, three_chain):
         sched = Schedule(lam=0.3, t_window=0.4, n_steps=20, max_components=3, integrator_mode="rectified")
@@ -463,8 +527,9 @@ class TestPackRows:
                 return out
 
         monkeypatch.setattr(sfmod, "PACK_ROWS", 1)
-        with pytest.raises(NumericalError, match="at step 14, component 1 of object 2"):
-            integrate_packed([a, a, b], BadOnB(library), sched, 14, 16)
+        # the index counts every input, the empty object too
+        with pytest.raises(NumericalError, match="at step 14, component 1 of object 3"):
+            integrate_packed([a, EMPTY_OBJECT, a, b], BadOnB(library), sched, 14, 16)
 
 
 def reference_features(x, t_step, sched, library):

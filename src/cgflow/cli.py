@@ -24,11 +24,16 @@ import numpy as np
 
 from . import oracle
 from .compstate import (
+    EMPTY_OBJECT,
+    AddSynthon,
+    ComponentInstance,
     ComposedObject,
+    FirstSynthon,
     SynthonLibrary,
     action_from_dict,
     action_to_dict,
     default_library_bytes,
+    grow,
     library_from_dict,
     sequence_key,
 )
@@ -218,12 +223,13 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
-def read_jsonl(path: str | Path) -> tuple[dict, list[dict]]:
+def iter_jsonl(path: str | Path) -> typing.Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each line of a JSONL artifact, parsed
+    one line at a time; a line that is cut, not JSON or not an object
+    raises ``ArtifactError``."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing artifact: {path}")
-    meta: dict = {}
-    rows: list[dict] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -235,12 +241,20 @@ def read_jsonl(path: str | Path) -> tuple[dict, list[dict]]:
                     raise ArtifactError(f"{path}:{lineno}: corrupt JSONL line: {exc}") from None
                 if not isinstance(doc, dict):
                     raise ArtifactError(f"{path}:{lineno}: JSONL line is not an object")
-                if doc.get("record") == "meta":
-                    meta = doc
-                else:
-                    rows.append(doc)
+                yield lineno, doc
     except UnicodeDecodeError as exc:
         raise ArtifactError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_jsonl(path: str | Path) -> tuple[dict, list[dict]]:
+    """The meta record and the other rows of a JSONL artifact."""
+    meta: dict = {}
+    rows: list[dict] = []
+    for _, doc in iter_jsonl(path):
+        if doc.get("record") == "meta":
+            meta = doc
+        else:
+            rows.append(doc)
     return meta, rows
 
 
@@ -259,31 +273,88 @@ def _paths(config: RunConfig) -> dict[str, Path]:
     }
 
 
-def _load_dataset(config: RunConfig, library: SynthonLibrary) -> list[ComposedObject]:
-    """Dataset objects; each component's state must hold one (x, y) row per
-    point of its synthon."""
-    path = _paths(config)["dataset"]
-    _, rows = read_jsonl(path)
-    if not rows:
-        raise ArtifactError(f"{path}: dataset has no object rows")
+def _composition(
+    key: tuple, library: SynthonLibrary, config: RunConfig
+) -> tuple[tuple[ComponentInstance, ...], tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """Components, open attachments and state shapes of a dataset row's
+    composition ``key`` (its component fields and open attachments), checked
+    by replaying the components through ``grow`` under the config's
+    schedule and point budget.  Raises ``ArtifactError`` unless the row
+    records exactly what the replay builds."""
+    fields, opens = key
+    if not fields:
+        raise ArtifactError("object has no components")
+    x = EMPTY_OBJECT
     try:
-        data = [ComposedObject.from_dict(r) for r in rows]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"{path}: malformed object row: {type(exc).__name__}: {exc}") from None
-    n_points = {s.id: s.n_points for s in library}
-    for row, obj in enumerate(data, start=1):
-        if len(obj.states) != len(obj.components):
-            raise ArtifactError(
-                f"{path}: object row {row} has {len(obj.states)} states for {len(obj.components)} components"
+        for i, (synthon_id, parent, parent_att, child_att, _) in enumerate(fields):
+            if i == 0:
+                action = FirstSynthon(synthon_id=synthon_id)
+            elif not all(type(v) is int for v in (parent, parent_att, child_att)):
+                raise InvariantError(f"component {i}: parent and attachment indices must be integers")
+            elif not 0 <= child_att < len(library.get(synthon_id).attachments):
+                raise InvariantError(f"component {i}: child attachment {child_att} out of range")
+            else:
+                action = AddSynthon(parent, parent_att, synthon_id, child_att)
+            x = grow(x, action, library, config.schedule, config.rules.p_max)
+    except InvariantError as exc:
+        raise ArtifactError(f"composition does not replay: {exc}") from None
+    if x.components != tuple(ComponentInstance(*f) for f in fields):
+        raise ArtifactError("components differ from their replay (parents, attachments or t_gen_step)")
+    if x.open_attachments != opens:
+        raise ArtifactError(f"open attachments {list(opens)} != {list(x.open_attachments)} of the replay")
+    shapes = tuple((library.get(c.synthon_id).n_points, 2) for c in x.components)
+    return x.components, x.open_attachments, shapes
+
+
+def _load_dataset(config: RunConfig, library: SynthonLibrary) -> list[ComposedObject]:
+    """Dataset objects, parsed one line at a time.  Each distinct
+    composition is checked once (``_composition``); each row's states must
+    hold one (x, y) row per point of each component's synthon."""
+    path = _paths(config)["dataset"]
+    compositions: dict[tuple, tuple] = {}
+    data: list[ComposedObject] = []
+    for _, doc in iter_jsonl(path):
+        if doc.get("record") == "meta":
+            continue
+        row = len(data) + 1
+        try:
+            key = (
+                tuple(
+                    (c["synthon_id"], c["parent_component"], c["parent_attachment"],
+                     c["child_attachment"], c["t_gen_step"])
+                    for c in doc["components"]
+                ),
+                tuple(tuple(o) for o in doc["open_attachments"]),
             )
-        for i, (comp, state) in enumerate(zip(obj.components, obj.states)):
-            m = n_points.get(comp.synthon_id)
-            if m is None:
-                raise ArtifactError(f"{path}: object row {row}: unknown synthon id {comp.synthon_id!r}")
-            if state.shape != (m, 2):
+            composition = compositions.get(key)
+            states = tuple(np.asarray(s, dtype=np.float64) for s in doc["states"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArtifactError(f"{path}: malformed object row: {type(exc).__name__}: {exc}") from None
+        if composition is None:
+            try:
+                composition = compositions[key] = _composition(key, library, config)
+            except ArtifactError as exc:
+                raise ArtifactError(f"{path}: object row {row}: {exc}") from None
+        components, open_attachments, shapes = composition
+        if len(states) != len(components):
+            raise ArtifactError(
+                f"{path}: object row {row} has {len(states)} states for {len(components)} components"
+            )
+        for i, (state, shape) in enumerate(zip(states, shapes)):
+            if state.shape != shape:
                 raise ArtifactError(
-                    f"{path}: object row {row}, component {i}: state shape {state.shape} != {(m, 2)}"
+                    f"{path}: object row {row}, component {i}: state shape {state.shape} != {shape}"
                 )
+        data.append(
+            ComposedObject(
+                components=components,
+                states=states,
+                self_cond=tuple(np.array(s) for s in states),
+                open_attachments=open_attachments,
+            )
+        )
+    if not data:
+        raise ArtifactError(f"{path}: dataset has no object rows")
     return data
 
 

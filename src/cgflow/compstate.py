@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -144,6 +144,14 @@ class SynthonLibrary:
         columns that depend only on an object's components, keyed on
         ``(max_components, components)``.  Stored on the library object like
         ``point_roles``, so it is freed with the library."""
+        return {}
+
+    @cached_property
+    def decompositions(self) -> dict:
+        """Memo for :func:`decompose`, keyed on an object's components: its
+        valid construction orders, the read-only rigid poses of its
+        ground-truth layout, and each drawn order's plan actions.  Stored on
+        the library object like ``static_features``."""
         return {}
 
 
@@ -294,26 +302,6 @@ class ComposedObject:
             "open_attachments": [list(o) for o in self.open_attachments],
         }
         return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ComposedObject":
-        components = tuple(
-            ComponentInstance(
-                synthon_id=c["synthon_id"],
-                parent_component=c["parent_component"],
-                parent_attachment=c["parent_attachment"],
-                child_attachment=c["child_attachment"],
-                t_gen_step=int(c["t_gen_step"]),
-            )
-            for c in doc["components"]
-        )
-        states = tuple(np.asarray(s, dtype=np.float64) for s in doc["states"])
-        return cls(
-            components=components,
-            states=states,
-            self_cond=tuple(np.array(s) for s in states),
-            open_attachments=tuple((int(a), int(b)) for a, b in doc["open_attachments"]),
-        )
 
 
 EMPTY_OBJECT = ComposedObject()
@@ -555,10 +543,10 @@ class PlanStep:
     s1: np.ndarray
 
 
-def _bonds(x: ComposedObject) -> list[tuple[int, int, int, int]]:
+def _bonds(components: Sequence[ComponentInstance]) -> list[tuple[int, int, int, int]]:
     # (parent, child, parent_attachment, child_attachment) in recorded roles
     out = []
-    for i, comp in enumerate(x.components):
+    for i, comp in enumerate(components):
         if comp.parent_component is not None:
             out.append((comp.parent_component, i, comp.parent_attachment, comp.child_attachment))
     return out
@@ -570,7 +558,7 @@ def valid_orders(x: ComposedObject, library: SynthonLibrary) -> list[tuple[int, 
     if n == 0:
         raise InvariantError("cannot order an empty object")
     adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
-    for p, c, _, _ in _bonds(x):
+    for p, c, _, _ in _bonds(x.components):
         adjacency[p].add(c)
         adjacency[c].add(p)
 
@@ -596,28 +584,17 @@ def valid_orders(x: ComposedObject, library: SynthonLibrary) -> list[tuple[int, 
     return sorted(orders)
 
 
-def plan_for_order(
-    x: ComposedObject,
-    order: Sequence[int],
-    library: SynthonLibrary,
-    canonicalize: bool = True,
-) -> list[PlanStep]:
-    bonds = _bonds(x)
+def _order_actions(
+    components: Sequence[ComponentInstance], order: Sequence[int]
+) -> tuple[ActionRef, ...]:
+    """The actions that build ``components`` in ``order``."""
+    bonds = _bonds(components)
     position = {orig: new for new, orig in enumerate(order)}
-    if canonicalize:
-        # Re-express stored coordinates in the new root's frame: the
-        # generative process always grows objects from an identity-posed
-        # first component, so training targets must share that gauge.
-        _, poses = ground_truth_layout(x.components, library, return_poses=True)
-        rot0, shift0 = poses[order[0]]
-    steps: list[PlanStep] = []
+    actions: list[ActionRef] = []
     for new_idx, orig in enumerate(order):
-        comp = x.components[orig]
-        s1 = np.array(x.states[orig], dtype=np.float64)
-        if canonicalize:
-            s1 = (s1 - shift0) @ rot0
+        comp = components[orig]
         if new_idx == 0:
-            steps.append(PlanStep(FirstSynthon(synthon_id=comp.synthon_id), s1))
+            actions.append(FirstSynthon(synthon_id=comp.synthon_id))
             continue
         placed = set(order[:new_idx])
         bond = next(
@@ -642,8 +619,63 @@ def plan_for_order(
                 synthon_id=comp.synthon_id,
                 child_attachment=pa,
             )
+        actions.append(action)
+    return tuple(actions)
+
+
+def _plan(
+    x: ComposedObject,
+    order: Sequence[int],
+    actions: Sequence[ActionRef],
+    root_pose: tuple[np.ndarray, np.ndarray] | None,
+) -> list[PlanStep]:
+    """Pair each action with its component's stored state, re-expressed in
+    the frame of ``root_pose`` (the new root's rigid pose) when given."""
+    steps: list[PlanStep] = []
+    for orig, action in zip(order, actions):
+        s1 = np.array(x.states[orig], dtype=np.float64)
+        if root_pose is not None:
+            rot0, shift0 = root_pose
+            s1 = (s1 - shift0) @ rot0
         steps.append(PlanStep(action, s1))
     return steps
+
+
+def plan_for_order(
+    x: ComposedObject,
+    order: Sequence[int],
+    library: SynthonLibrary,
+    canonicalize: bool = True,
+) -> list[PlanStep]:
+    root_pose = None
+    if canonicalize:
+        # Re-express stored coordinates in the new root's frame: the
+        # generative process always grows objects from an identity-posed
+        # first component, so training targets must share that gauge.
+        _, poses = ground_truth_layout(x.components, library, return_poses=True)
+        root_pose = poses[order[0]]
+    return _plan(x, order, _order_actions(x.components, order), root_pose)
+
+
+class _Decomposition(NamedTuple):
+    """The part of :func:`decompose` that depends only on the components."""
+
+    orders: tuple[tuple[int, ...], ...]  # every valid order, recorded one included
+    poses: tuple[tuple[np.ndarray, np.ndarray], ...]  # read-only layout poses
+    actions: dict  # order -> its plan actions, filled as orders are drawn
+
+
+def _decomposition(components: tuple[ComponentInstance, ...], library: SynthonLibrary) -> _Decomposition:
+    """The ``library.decompositions`` entry of ``components``, built on first use."""
+    hit = library.decompositions.get(components)
+    if hit is None:
+        orders = tuple(valid_orders(ComposedObject(components=components), library))
+        _, poses = ground_truth_layout(components, library, return_poses=True)
+        for pose in poses:
+            for arr in pose:
+                arr.flags.writeable = False
+        hit = library.decompositions[components] = _Decomposition(orders, tuple(poses), {})
+    return hit
 
 
 def decompose(
@@ -660,13 +692,20 @@ def decompose(
     recorded order from the draw whenever an alternative exists.  By default
     coordinates are re-expressed in the chosen root's frame; pass
     ``canonicalize=False`` to keep the stored absolute frame.
+
+    The orders, the layout poses and each order's actions depend only on
+    the components, so they come from ``library.decompositions``; the plan
+    is bitwise what :func:`valid_orders` and :func:`plan_for_order` give.
     """
+    orders, poses, actions = _decomposition(x.components, library)
+    recorded = tuple(range(len(x.components)))
     if rng is None:
-        order: tuple[int, ...] = tuple(range(len(x.components)))
+        order = recorded
     else:
-        orders = valid_orders(x, library)
-        recorded = tuple(range(len(x.components)))
         if exclude_recorded and len(orders) > 1:
-            orders = [o for o in orders if o != recorded]
+            orders = tuple(o for o in orders if o != recorded)
         order = orders[int(rng.integers(len(orders)))]
-    return plan_for_order(x, order, library, canonicalize=canonicalize)
+    order_actions = actions.get(order)
+    if order_actions is None:
+        order_actions = actions[order] = _order_actions(x.components, order)
+    return _plan(x, order, order_actions, poses[order[0]] if canonicalize else None)

@@ -195,27 +195,6 @@ def log_reward(x: ComposedObject, params: RewardParams, library: SynthonLibrary)
     return -params.beta * energy / params.temperature
 
 
-def generate_object(
-    rng: np.random.Generator,
-    library: SynthonLibrary,
-    rules: RuleSet,
-    sched: Schedule,
-    sigma_data: float,
-) -> ComposedObject:
-    """A composition grown by uniform legal actions (no prior states: the
-    jittered layout replaces them)."""
-    x = EMPTY_OBJECT
-    while not x.is_terminal:
-        actions = action_space(x, rules, library)
-        if not actions:
-            raise InvariantError("dead end during generation; library not validated?")
-        action = actions[int(rng.integers(len(actions)))]
-        x = grow(x, action, library, sched, rules.p_max)
-    layout = ground_truth_layout(x.components, library)
-    states = [s + rng.normal(0.0, sigma_data, size=s.shape) for s in layout]
-    return x.with_states(states, self_cond=[s.copy() for s in states])
-
-
 def generate_dataset(
     n: int,
     global_seed: int,
@@ -224,11 +203,36 @@ def generate_dataset(
     sched: Schedule,
     sigma_data: float = 0.05,
 ) -> list[ComposedObject]:
-    """Objects built by uniform random legal actions, laid out and jittered."""
+    """Objects built by uniform random legal actions, laid out and jittered.
+
+    Object ``i`` draws from ``rng_from(global_seed, "dataset", i)``: one
+    action index per step, then the layout jitter.  Everything that depends
+    only on the composition is computed once per call: ``nodes`` maps an
+    action-index prefix to its object (grown without prior states) and
+    either its legal actions or, at a leaf, its ground-truth layout.
+    """
     if n < 1:
         raise ConfigError("dataset size must be >= 1")
+    nodes: dict[tuple[int, ...], tuple[ComposedObject, list]] = {
+        (): (EMPTY_OBJECT, action_space(EMPTY_OBJECT, rules, library))
+    }
     out = []
     for i in range(n):
         rng = rng_from(global_seed, "dataset", i)
-        out.append(generate_object(rng, library, rules, sched, sigma_data))
+        prefix: tuple[int, ...] = ()
+        x, below = nodes[prefix]
+        while not x.is_terminal:
+            if not below:
+                raise InvariantError("dead end during generation; library not validated?")
+            child = prefix + (int(rng.integers(len(below))),)
+            if child not in nodes:
+                y = grow(x, below[child[-1]], library, sched, rules.p_max)
+                if y.is_terminal:
+                    nodes[child] = (y, ground_truth_layout(y.components, library))
+                else:
+                    nodes[child] = (y, action_space(y, rules, library))
+            prefix = child
+            x, below = nodes[prefix]
+        states = [s + rng.normal(0.0, sigma_data, size=s.shape) for s in below]
+        out.append(x.with_states(states, self_cond=[s.copy() for s in states]))
     return out

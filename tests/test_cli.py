@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgflow.cli import RunConfig, _write_jsonl, load_config, main, read_jsonl
+from cgflow.cli import RunConfig, _load_dataset, _write_jsonl, load_config, main, read_jsonl
 from cgflow.compstate import default_library_bytes
+from cgflow.domain import generate_dataset
 from cgflow.errors import EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISSING_FILE, ArtifactError
 
 
@@ -329,6 +330,35 @@ def dataset_row(synthon_id="b2a", states=((0.0, 0.0), (1.0, 0.0))):
     }) + "\n"
 
 
+# b2a, then l_ab on its alpha attachment, then b2b on the linker's free
+# alpha attachment: a terminal chain of the default library
+CHAIN = [
+    {"synthon_id": "b2a", "parent_component": None, "parent_attachment": None,
+     "child_attachment": None, "t_gen_step": 0},
+    {"synthon_id": "l_ab", "parent_component": 0, "parent_attachment": 0,
+     "child_attachment": 0, "t_gen_step": 6},
+    {"synthon_id": "b2b", "parent_component": 1, "parent_attachment": 1,
+     "child_attachment": 0, "t_gen_step": 12},
+]
+
+
+def chain_row(component=None, edit=None, n=3, states=None, open_attachments=()):
+    """The first ``n`` components of ``CHAIN`` as a dataset row, with
+    ``edit`` applied to component ``component``."""
+    components = [dict(c) for c in CHAIN[:n]]
+    if edit is not None:
+        components[component].update(edit)
+    return json.dumps({
+        "components": components,
+        "states": states if states is not None else [[[0.0, 0.0], [1.0, 0.0]]] * n,
+        "open_attachments": [list(o) for o in open_attachments],
+    }) + "\n"
+
+
+# the chain's states with a one-point state for the two-point brick b2b
+SHORT_CHAIN_STATES = [[[0.0, 0.0], [1.0, 0.0]]] * 2 + [[[0.0, 0.0]]]
+
+
 def dataset_rows(rows, objective="tb"):
     def setup(tmp_path, doc):
         doc["policy"]["objective"] = objective
@@ -384,6 +414,24 @@ FAILURES = {
         "train-stateflow", dataset_rows(dataset_row(states=((0.0, 0.0),) * 3)), EXIT_INVARIANT, "invalid-artifact"),
     "dataset-unknown-synthon": (
         "train-stateflow", dataset_rows(dataset_row(synthon_id="zz")), EXIT_INVARIANT, "invalid-artifact"),
+    # rows whose composition is not what its own components build
+    "dataset-parent-out-of-range": (
+        "train-stateflow", dataset_rows(chain_row(2, {"parent_component": 7})), EXIT_INVARIANT, "invalid-artifact"),
+    "dataset-parent-attachment-out-of-range": (
+        "train-stateflow", dataset_rows(chain_row(1, {"parent_attachment": 9})), EXIT_INVARIANT, "invalid-artifact"),
+    "dataset-child-attachment-out-of-range": (
+        "train-stateflow", dataset_rows(chain_row(1, {"child_attachment": 5})), EXIT_INVARIANT, "invalid-artifact"),
+    "dataset-later-component-without-parent": (
+        "train-stateflow", dataset_rows(chain_row(1, {"parent_component": None})), EXIT_INVARIANT, "invalid-artifact"),
+    "dataset-terminal-row-with-open-attachment": (
+        "train-stateflow",
+        dataset_rows(chain_row(1, {"synthon_id": "b2b"}, n=2, open_attachments=[(0, 0)])),
+        EXIT_INVARIANT, "invalid-artifact"),
+    # the second chain row hits the composition memo and is still shape-checked
+    "dataset-seen-composition-short-state": (
+        "train-stateflow",
+        dataset_rows(chain_row() + chain_row(states=SHORT_CHAIN_STATES)),
+        EXIT_INVARIANT, "invalid-artifact"),
     "evaluate-action-not-object": (
         "evaluate", evaluate_inputs('{"actions": [{"action": 3}]}\n', TABLE_ROW),
         EXIT_INVARIANT, "invalid-artifact"),
@@ -419,6 +467,56 @@ FAILURES = {
     "config-is-directory": ("gen-data", directory_config, EXIT_CONFIG, "invalid-config"),
     "library-is-directory": ("gen-data", directory_library, EXIT_CONFIG, "invalid-config"),
 }
+
+
+class TestDatasetLoad:
+    def test_loaded_objects_equal_generated_ones(self, tiny_config):
+        assert run(["gen-data", "--config", tiny_config]) == 0
+        config = load_config(tiny_config)
+        library = config.load_library()
+        loaded = _load_dataset(config, library)
+        generated = generate_dataset(
+            config.dataset_size, config.seed, library, config.rules, config.schedule,
+            sigma_data=config.stateflow.sigma_data,
+        )
+        assert len(loaded) == len(generated)
+        for a, b in zip(loaded, generated):
+            assert (a.components, a.open_attachments) == (b.components, b.open_attachments)
+            assert [s.tobytes() for s in a.states] == [s.tobytes() for s in b.states]
+            assert [s.tobytes() for s in a.self_cond] == [s.tobytes() for s in b.self_cond]
+        # rows of one composition share its components; every row owns its arrays
+        first = {}
+        for x in loaded:
+            assert first.setdefault(x.components, x.components) is x.components
+        assert len(first) < len(loaded)
+        arrays = [a for x in loaded for a in x.states + x.self_cond]
+        assert len({id(a) for a in arrays}) == len(arrays)
+        assert all(a.flags.writeable for a in arrays)
+
+    def test_memo_hit_is_shape_checked_and_named_by_its_row(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(dataset_rows(chain_row() + chain_row(states=SHORT_CHAIN_STATES))(tmp_path, tiny_config_dict()))
+        assert run(["train-stateflow", "--config", path]) == EXIT_INVARIANT
+        message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]["message"]
+        assert "object row 3, component 2: state shape (1, 2) != (2, 2)" in message
+
+    def test_valid_rows_train(self, tmp_path):
+        # the rows the failure cases edit are valid as they stand
+        path = tmp_path / "config.json"
+        b3b_end = chain_row(2, {"synthon_id": "b3b"}, states=[[[0.0, 0.0], [1.0, 0.0]]] * 2 + [[[0.0, 0.0]] * 3])
+        path.write_bytes(dataset_rows(chain_row() + b3b_end + chain_row())(tmp_path, tiny_config_dict()))
+        assert run(["train-stateflow", "--config", path]) == 0
+
+    def test_dataset_of_another_schedule_is_rejected(self, tiny_config, tmp_path, capsys):
+        # every later component records t_gen_step = index * lambda * n_steps
+        assert run(["gen-data", "--config", tiny_config]) == 0
+        doc = tiny_config_dict()
+        doc["schedule"]["lambda"] = 0.2
+        tiny_config.write_text(json.dumps(doc))
+        assert run(["train-stateflow", "--config", tiny_config]) == EXIT_INVARIANT
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "invalid-artifact"
+        assert "t_gen_step" in record["error"]["message"]
 
 
 class TestFailureCodes:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,11 @@ from cgflow.compstate import (
     Synthon,
     SynthonLibrary,
     decompose,
+    default_library_bytes,
     ground_truth_layout,
     grow,
     initial_state_sample,
+    library_from_dict,
     plan_for_order,
     replay_actions,
     transition,
@@ -22,6 +26,7 @@ from cgflow.compstate import (
 )
 from cgflow.domain import RuleSet, action_space, generate_dataset
 from cgflow.errors import ConfigError, InvariantError
+from cgflow.schedule import Schedule
 
 
 def recorded_actions(x):
@@ -261,6 +266,131 @@ class TestDecompose:
         for _ in range(20):
             plan = decompose(x, library, rng=rng, exclude_recorded=True)
             assert plan[0].action.synthon_id == "b2b"
+
+
+def fresh_plan(x, library, rng, exclude_recorded, canonicalize):
+    """``decompose`` without its memo: a fresh ``valid_orders`` and
+    ``plan_for_order``, drawing from ``rng`` as ``decompose`` does."""
+    orders = valid_orders(x, library)
+    recorded = tuple(range(len(x.components)))
+    if exclude_recorded and len(orders) > 1:
+        orders = [o for o in orders if o != recorded]
+    order = orders[int(rng.integers(len(orders)))]
+    return plan_for_order(x, order, library, canonicalize=canonicalize)
+
+
+def plan_bytes(plan):
+    return [(step.action, step.s1.shape, step.s1.tobytes()) for step in plan]
+
+
+def default_library():
+    """A library object of its own, with an empty memo."""
+    return library_from_dict(json.loads(default_library_bytes()))
+
+
+class TestDecomposeMemo:
+    @pytest.mark.parametrize("canonicalize", [True, False], ids=["canonical", "stored-frame"])
+    @pytest.mark.parametrize("exclude_recorded", [False, True], ids=["all-orders", "exclude-recorded"])
+    def test_memo_matches_fresh_orders_and_plans_bitwise(self, sched, canonicalize, exclude_recorded):
+        library = default_library()
+        wide = Schedule(lam=0.1, t_window=0.4, n_steps=20, max_components=8)
+        data = generate_dataset(150, 5, library, RuleSet(), sched) + generate_dataset(
+            150, 5, library, RuleSet(max_len=7, p_max=18), wide
+        )
+        # two passes: the first fills the memo, the second reads it
+        for seed in (1, 2):
+            memo_rng, fresh_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for x in data:
+                got = decompose(x, library, rng=memo_rng, exclude_recorded=exclude_recorded, canonicalize=canonicalize)
+                want = fresh_plan(x, library, fresh_rng, exclude_recorded, canonicalize)
+                assert plan_bytes(got) == plan_bytes(want)
+                recorded = decompose(x, library, canonicalize=canonicalize)
+                assert plan_bytes(recorded) == plan_bytes(
+                    plan_for_order(x, range(len(x.components)), library, canonicalize=canonicalize)
+                )
+            assert memo_rng.integers(1 << 62) == fresh_rng.integers(1 << 62)
+        assert len(library.decompositions) == len({x.components for x in data})
+
+    def test_memo_keeps_every_order_and_exclusion_still_filters(self, library, sched, rng):
+        x = build([FirstSynthon("b2a"), AddSynthon(0, 0, "l_ab", 0), AddSynthon(1, 1, "b2b", 0)], library, sched)
+        x = x.with_states(ground_truth_layout(x.components, library))
+        first = {decompose(x, library, rng=rng)[0].action.synthon_id for _ in range(50)}
+        assert first == {"b2a", "b2b"}
+        orders = library.decompositions[x.components].orders
+        assert orders == ((0, 1, 2), (2, 1, 0))
+        for _ in range(50):
+            assert decompose(x, library, rng=rng, exclude_recorded=True)[0].action.synthon_id == "b2b"
+        assert library.decompositions[x.components].orders == orders
+
+    def test_memo_arrays_are_read_only_and_plans_are_not(self, library, sched, rng):
+        x = build([FirstSynthon("b3a"), AddSynthon(0, 0, "l_ab", 0), AddSynthon(1, 1, "b2b", 0)], library, sched)
+        x = x.with_states(ground_truth_layout(x.components, library))
+        plan = decompose(x, library, rng=rng)
+        for rot, shift in library.decompositions[x.components].poses:
+            for arr in (rot, shift):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+        for step in plan:
+            step.s1[0, 0] += 1.0  # the caller owns its targets
+        assert plan_bytes(decompose(x, library, canonicalize=False)) == plan_bytes(
+            plan_for_order(x, (0, 1, 2), library, canonicalize=False)
+        )
+
+    def test_equal_synthons_in_other_bonds_get_their_own_entries(self, sched):
+        # a linker with two alpha attachments takes a beta parent on either
+        # one: two compositions with the same synthon ids, other poses
+        l_aa = Synthon(
+            id="l_aa",
+            kind="linker",
+            points=((0.0, 0.0), (1.0, 0.0), (0.5, 0.8)),
+            attachments=(AttachmentPoint(0, "alpha", (-1.0, 0.0)), AttachmentPoint(2, "alpha", (0.0, 1.0))),
+        )
+        library = SynthonLibrary(synthons=default_library().synthons + (l_aa,))
+        objects = []
+        for child in (0, 1):
+            actions = [FirstSynthon("b2b"), AddSynthon(0, 0, "l_aa", child), AddSynthon(1, 1 - child, "b2b", 0)]
+            x = build(actions, library, sched)
+            objects.append(x.with_states(ground_truth_layout(x.components, library)))
+        assert [c.synthon_id for c in objects[0].components] == [c.synthon_id for c in objects[1].components]
+        for seed in range(6):
+            for x in objects:
+                for canonicalize in (True, False):
+                    got = decompose(x, library, rng=np.random.default_rng(seed), canonicalize=canonicalize)
+                    want = fresh_plan(x, library, np.random.default_rng(seed), False, canonicalize)
+                    assert plan_bytes(got) == plan_bytes(want)
+        assert len(library.decompositions) == 2
+
+    def test_two_libraries_never_share_an_entry(self, sched, rng):
+        # the same ids with l_ab's local frame rotated: equal compositions,
+        # other poses, so an entry read across libraries would show
+        base = default_library()
+        l_ab = base.get("l_ab")
+        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+        moved = Synthon(
+            id="l_ab",
+            kind="linker",
+            points=tuple(map(tuple, np.asarray(l_ab.points) @ rot.T)),
+            attachments=tuple(
+                AttachmentPoint(a.point_index, a.klass, tuple(rot @ np.asarray(a.direction))) for a in l_ab.attachments
+            ),
+        )
+        gauged = SynthonLibrary(synthons=tuple(moved if s.id == "l_ab" else s for s in base.synthons))
+        actions = [FirstSynthon("b2a"), AddSynthon(0, 0, "l_ab", 0), AddSynthon(1, 1, "b2b", 0)]
+        x = build(actions, base, sched)
+        x = x.with_states(ground_truth_layout(x.components, base))
+        twin = default_library()
+        for library in (base, gauged, twin):
+            for seed in range(4):
+                assert plan_bytes(decompose(x, library, rng=np.random.default_rng(seed))) == plan_bytes(
+                    fresh_plan(x, library, np.random.default_rng(seed), False, True)
+                )
+        assert base.decompositions is not twin.decompositions
+        assert base.decompositions[x.components] is not twin.decompositions[x.components]
+        # the linker's rotation differs: it is placed from its own frame
+        base_rot = base.decompositions[x.components].poses[1][0]
+        gauged_rot = gauged.decompositions[x.components].poses[1][0]
+        assert not np.array_equal(base_rot, gauged_rot)
 
 
 class TestReplayDeterminism:

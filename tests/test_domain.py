@@ -189,20 +189,38 @@ class TestGenerateDataset:
         frac2 = sum(1 for x in data if len(x.components) == 2) / len(data)
         assert abs(frac2 - 0.5) < 0.02
 
-    def test_rows_match_transition_built_reference(self, library, fig2_sched):
-        # generation used to grow objects through full transitions, whose
-        # prior draws the jittered layout then replaced; rows are unchanged
-        rules = RuleSet(max_len=4, p_max=14)
-        for i, x in enumerate(generate_dataset(60, 17, library, rules, fig2_sched)):
-            rng = rng_from(17, "dataset", i)
-            ref = EMPTY_OBJECT
-            while not ref.is_terminal:
-                actions = action_space(ref, rules, library)
-                action = actions[int(rng.integers(len(actions)))]
-                ref = transition(ref, action, library, fig2_sched, i, p_max=rules.p_max)
-            layout = ground_truth_layout(ref.components, library)
-            ref = ref.with_states([s + rng.normal(0.0, 0.05, size=s.shape) for s in layout])
-            assert x.to_dict() == ref.to_dict()
+    def test_rows_match_transition_built_reference(self, library, fig2_sched, sched):
+        # generation used to walk every object through full transitions,
+        # one action_space and one layout per object, and replace the prior
+        # draws with the jittered layout; the shared prefix memo keeps every
+        # row and every array byte for byte, over runs long enough that
+        # prefixes and leaves repeat
+        wide = Schedule(lam=0.1, t_window=0.4, n_steps=20, max_components=8)
+        for rules, sched, n in [
+            (RuleSet(max_len=4, p_max=14), fig2_sched, 60),
+            (RuleSet(), sched, 2000),
+            (RuleSet(max_len=7, p_max=18), wide, 500),
+        ]:
+            data = generate_dataset(n, 17, library, rules, sched)
+            for i, x in enumerate(data):
+                rng = rng_from(17, "dataset", i)
+                ref = EMPTY_OBJECT
+                while not ref.is_terminal:
+                    actions = action_space(ref, rules, library)
+                    action = actions[int(rng.integers(len(actions)))]
+                    ref = transition(ref, action, library, sched, i, p_max=rules.p_max)
+                layout = ground_truth_layout(ref.components, library)
+                states = [s + rng.normal(0.0, 0.05, size=s.shape) for s in layout]
+                assert x.to_dict() == ref.with_states(states).to_dict()
+                assert [s.tobytes() for s in x.states] == [s.tobytes() for s in states]
+                assert [s.tobytes() for s in x.self_cond] == [s.tobytes() for s in states]
+            assert len({x.components for x in data}) < n  # leaves repeat
+            # every object owns its arrays: none is shared with another
+            # object, with its own self-conditioning or with the memoised
+            # layout
+            arrays = [a for x in data for a in x.states + x.self_cond]
+            assert all(a.base is None for a in arrays)
+            assert len({id(a) for a in arrays}) == len(arrays)
 
     def test_states_near_layout(self, library, rules, sched):
         data = generate_dataset(20, 13, library, rules, sched)

@@ -32,7 +32,9 @@ from .compstate import (
     SynthonLibrary,
     action_from_dict,
     action_to_dict,
+    decode_states,
     default_library_bytes,
+    encode_states,
     grow,
     library_from_dict,
     sequence_key,
@@ -212,10 +214,17 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
 # ---------------------------------------------------------------------------
 
 
-def _write_jsonl(path: Path, meta: dict, rows: list[dict]) -> None:
+def _write_jsonl(path: Path, meta: dict, rows: typing.Iterable[dict]) -> None:
+    _write_lines(path, meta, (json.dumps(row, sort_keys=True) for row in rows))
+
+
+def _write_lines(path: Path, meta: dict, lines: typing.Iterable[str]) -> None:
+    """The meta record, then ``lines`` (JSON text without the newline),
+    written one line at a time."""
     with atomic_open(path) as fh:
-        for row in [{"record": "meta", **meta}, *rows]:
-            fh.write((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
+        fh.write((json.dumps({"record": "meta", **meta}, sort_keys=True) + "\n").encode("utf-8"))
+        for line in lines:
+            fh.write((line + "\n").encode("utf-8"))
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -275,12 +284,13 @@ def _paths(config: RunConfig) -> dict[str, Path]:
 
 def _composition(
     key: tuple, library: SynthonLibrary, config: RunConfig
-) -> tuple[tuple[ComponentInstance, ...], tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """Components, open attachments and state shapes of a dataset row's
-    composition ``key`` (its component fields and open attachments), checked
-    by replaying the components through ``grow`` under the config's
-    schedule and point budget.  Raises ``ArtifactError`` unless the row
-    records exactly what the replay builds."""
+) -> tuple[tuple[ComponentInstance, ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """Components, open attachments and per-component point counts of a
+    dataset row's composition ``key`` (its component fields and open
+    attachments), checked by replaying the components through ``grow``
+    under the config's schedule and point budget.  Raises ``ArtifactError``
+    unless the row records exactly what the replay builds and the object is
+    terminal."""
     fields, opens = key
     if not fields:
         raise ArtifactError("object has no components")
@@ -302,14 +312,17 @@ def _composition(
         raise ArtifactError("components differ from their replay (parents, attachments or t_gen_step)")
     if x.open_attachments != opens:
         raise ArtifactError(f"open attachments {list(opens)} != {list(x.open_attachments)} of the replay")
-    shapes = tuple((library.get(c.synthon_id).n_points, 2) for c in x.components)
-    return x.components, x.open_attachments, shapes
+    if not x.is_terminal:
+        raise ArtifactError(f"object is not terminal: open attachments {list(opens)}")
+    counts = tuple(library.get(c.synthon_id).n_points for c in x.components)
+    return x.components, x.open_attachments, counts
 
 
 def _load_dataset(config: RunConfig, library: SynthonLibrary) -> list[ComposedObject]:
     """Dataset objects, parsed one line at a time.  Each distinct
-    composition is checked once (``_composition``); each row's states must
-    hold one (x, y) row per point of each component's synthon."""
+    composition is checked once (``_composition``); each row's states text
+    is decoded once (``compstate.decode_states``) and must hold one finite
+    (x, y) row per point of its components' synthons."""
     path = _paths(config)["dataset"]
     compositions: dict[tuple, tuple] = {}
     data: list[ComposedObject] = []
@@ -327,7 +340,7 @@ def _load_dataset(config: RunConfig, library: SynthonLibrary) -> list[ComposedOb
                 tuple(tuple(o) for o in doc["open_attachments"]),
             )
             composition = compositions.get(key)
-            states = tuple(np.asarray(s, dtype=np.float64) for s in doc["states"])
+            text = doc["states"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ArtifactError(f"{path}: malformed object row: {type(exc).__name__}: {exc}") from None
         if composition is None:
@@ -335,24 +348,12 @@ def _load_dataset(config: RunConfig, library: SynthonLibrary) -> list[ComposedOb
                 composition = compositions[key] = _composition(key, library, config)
             except ArtifactError as exc:
                 raise ArtifactError(f"{path}: object row {row}: {exc}") from None
-        components, open_attachments, shapes = composition
-        if len(states) != len(components):
-            raise ArtifactError(
-                f"{path}: object row {row} has {len(states)} states for {len(components)} components"
-            )
-        for i, (state, shape) in enumerate(zip(states, shapes)):
-            if state.shape != shape:
-                raise ArtifactError(
-                    f"{path}: object row {row}, component {i}: state shape {state.shape} != {shape}"
-                )
-        data.append(
-            ComposedObject(
-                components=components,
-                states=states,
-                self_cond=tuple(np.array(s) for s in states),
-                open_attachments=open_attachments,
-            )
-        )
+        components, open_attachments, counts = composition
+        try:
+            states, self_cond = decode_states(text, counts)
+        except ArtifactError as exc:
+            raise ArtifactError(f"{path}: object row {row}: {exc}") from None
+        data.append(ComposedObject(components, states, self_cond, open_attachments))
     if not data:
         raise ArtifactError(f"{path}: dataset has no object rows")
     return data
@@ -384,9 +385,22 @@ def cmd_gen_data(config: RunConfig) -> None:
         config.schedule,
         sigma_data=config.stateflow.sigma_data,
     )
-    rows = [obj.to_dict() for obj in data]
-    _write_jsonl(_paths(config)["dataset"], config.meta(), rows)
-    log.info("wrote %d objects", len(rows))
+    heads: dict[tuple, str] = {}
+
+    def lines() -> typing.Iterator[str]:
+        # each line is json.dumps(obj.to_dict(), sort_keys=True); "states"
+        # sorts last, so a line is its composition's text up to the states
+        # value, made once per composition, then the states string
+        for obj in data:
+            key = (obj.components, obj.open_attachments)
+            head = heads.get(key)
+            if head is None:
+                text = json.dumps(dataclasses.replace(obj, states=()).to_dict(), sort_keys=True)
+                head = heads[key] = text[: -len('""}')]
+            yield head + json.dumps(encode_states(obj.states)) + "}"
+
+    _write_lines(_paths(config)["dataset"], config.meta(), lines())
+    log.info("wrote %d objects", len(data))
 
 
 def cmd_train_stateflow(config: RunConfig) -> None:
@@ -411,8 +425,12 @@ def cmd_train_policy(config: RunConfig) -> None:
         )
     else:
         state_model = _load_stateflow(config, library)
+        # the probe's table integrates every segment TB can sample; TB
+        # starts from those rollouts
+        rollout_cache: dict = {}
         table = oracle.enumerate_sequences(
-            config.rules, config.schedule, state_model, library, config.reward, config.seed
+            config.rules, config.schedule, state_model, library, config.reward, config.seed,
+            rollout_cache=rollout_cache,
         )
         target = oracle.target_distribution(table)
 
@@ -428,6 +446,7 @@ def cmd_train_policy(config: RunConfig) -> None:
             config.policy,
             run_seed=config.seed,
             tv_probe=probe,
+            rollout_cache=rollout_cache,
         )
     policy.store.save(paths["policy_ckpt"], meta=config.meta())
     _write_jsonl(paths["policy_metrics"], config.meta(), metrics)

@@ -11,6 +11,7 @@ process a deterministic function of the action sequence.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
@@ -27,6 +28,9 @@ KINDS = ("brick", "linker")
 
 SIGMA_PRIOR = 1.0
 BOND_LENGTH = 1.0
+
+# the byte layout of an object's states in JSONL artifacts
+STATE_DTYPE = np.dtype("<f8")
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +302,51 @@ class ComposedObject:
                 }
                 for c in self.components
             ],
-            "states": [np.asarray(s).tolist() for s in self.states],
+            "states": encode_states(self.states),
             "open_attachments": [list(o) for o in self.open_attachments],
         }
         return doc
+
+
+def encode_states(states: Sequence[np.ndarray]) -> str:
+    """The ``states`` text of an object in JSONL artifacts: its components'
+    (x, y) rows concatenated in component order as little-endian float64
+    (:data:`STATE_DTYPE`), base64-encoded.  The text stores no per-component
+    shape; :func:`decode_states` takes the point counts from the components."""
+    return base64.b64encode(b"".join(np.asarray(s, dtype=STATE_DTYPE).tobytes() for s in states)).decode("ascii")
+
+
+def decode_states(text: object, counts: Sequence[int]) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """States and self-conditioning from the :func:`encode_states` text of an
+    object whose components hold ``counts`` points.
+
+    The states are per-component row views of one writable ``(sum(counts),
+    2)`` matrix, and the self-conditioning row views of one copy of it; the
+    values are bitwise the encoded ones.  Raises ``ArtifactError`` unless
+    ``text`` is a base64 string of exactly ``2 * sum(counts)`` finite values.
+    """
+    if type(text) is not str:
+        old = " (the old list-of-rows format)" if type(text) is list else ""
+        raise ArtifactError(f"states must be a base64 string, got {type(text).__name__}{old}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or text that is not ASCII
+        raise ArtifactError(f"states are not base64: {exc}") from None
+    if len(raw) % STATE_DTYPE.itemsize:
+        raise ArtifactError(f"states hold {len(raw)} bytes, not a whole number of float64 values")
+    want = 2 * sum(counts)
+    if len(raw) != want * STATE_DTYPE.itemsize:
+        raise ArtifactError(f"states hold {len(raw) // STATE_DTYPE.itemsize} values, want {want} (2 per point)")
+    state = np.frombuffer(raw, dtype=STATE_DTYPE).astype(np.float64).reshape(-1, 2)
+    if not np.isfinite(state).all():
+        raise ArtifactError("states hold a non-finite value")
+    cond = state.copy()
+    states, conds, start = [], [], 0
+    for m in counts:
+        states.append(state[start : start + m])
+        conds.append(cond[start : start + m])
+        start += m
+    return tuple(states), tuple(conds)
 
 
 EMPTY_OBJECT = ComposedObject()

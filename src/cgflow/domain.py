@@ -209,7 +209,9 @@ def generate_dataset(
     action index per step, then the layout jitter.  Everything that depends
     only on the composition is computed once per call: ``nodes`` maps an
     action-index prefix to its object (grown without prior states) and
-    either its legal actions or, at a leaf, its ground-truth layout.
+    either its legal actions or, at a leaf, its ground-truth layout.  Each
+    object owns its jittered states and one copy of them as its
+    self-conditioning.
     """
     if n < 1:
         raise ConfigError("dataset size must be >= 1")
@@ -233,6 +235,11 @@ def generate_dataset(
                     nodes[child] = (y, action_space(y, rules, library))
             prefix = child
             x, below = nodes[prefix]
-        states = [s + rng.normal(0.0, sigma_data, size=s.shape) for s in below]
-        out.append(x.with_states(states, self_cond=[s.copy() for s in states]))
+        states = tuple(s + rng.normal(0.0, sigma_data, size=s.shape) for s in below)
+        out.append(ComposedObject(
+            components=x.components,
+            states=states,
+            self_cond=tuple(s.copy() for s in states),
+            open_attachments=x.open_attachments,
+        ))
     return out

@@ -408,18 +408,23 @@ def train_policy_tb(
     hyper: PolicyHyper,
     run_seed: int,
     tv_probe=None,
+    rollout_cache: dict | None = None,
 ) -> tuple[PolicyModel, list[dict]]:
     """On-policy trajectory-balance training against a frozen state flow.
 
     The state flow stays frozen for the whole run, so one rollout cache and
     one prefix-node memo serve every trajectory of every iteration.  The
-    parameters are fixed within an iteration, so each iteration's policy
-    table lives with its tape: every distinct decision state gets one taped
-    forward, and each trajectory picks from that node.
+    cache is ``rollout_cache`` when given (it must belong to
+    ``state_model``, like the one the oracle table for the TV probe
+    filled), else a fresh dict.  The parameters are fixed within an
+    iteration, so each iteration's policy table lives with its tape: every
+    distinct decision state gets one taped forward, and each trajectory
+    picks from that node.
     """
     policy = PolicyModel.create(sched, library, seed=run_seed)
     lr_map = {"log_Z": hyper.lr_log_z}
-    rollout_cache: dict = {}
+    if rollout_cache is None:
+        rollout_cache = {}
     node_memo: dict = {}
     metrics: list[dict] = []
     for it in range(hyper.iters):

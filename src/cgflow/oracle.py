@@ -28,7 +28,7 @@ from .domain import RewardParams, RuleSet, action_space, log_reward
 from .errors import InvariantError
 from .gflownet import PolicyModel, next_decision_step, policy_distribution
 from .schedule import Schedule
-from .stateflow import StateFlowModel, integrate_packed
+from .stateflow import StateFlowModel, integrate_packed, rollout_key
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,7 @@ def enumerate_sequences(
     reward_params: RewardParams,
     global_seed: int,
     cap: int = 100_000,
+    rollout_cache: dict | None = None,
 ) -> SequenceTable:
     """Breadth-first walk over the action space with deterministic state
     rollouts, one tree level at a time: all children of a level that
@@ -112,6 +113,11 @@ def enumerate_sequences(
     Every pending child leads to at least one sequence, so a level whose
     children would take the count past ``cap`` is refused before it is
     integrated.
+
+    With ``rollout_cache`` (a :func:`stateflow.euler_rollout` cache for
+    ``state_model``), each integrated child is stored under its
+    :func:`stateflow.rollout_key`, so a sampler started from the cache
+    integrates no segment of the tree again.
     """
     records: list[SequenceRecord] = []
     decisions: dict[tuple[int, ...], Decision] = {}
@@ -142,6 +148,8 @@ def enumerate_sequences(
         for (start, stop), members in groups.items():
             rolled = integrate_packed([children[i] for i in members], state_model, sched, start, stop)
             for i, child in zip(members, rolled):
+                if rollout_cache is not None:
+                    rollout_cache[rollout_key(children[i], start, stop, snap=True)] = child
                 children[i] = child
         level = [(child, stop, prefix, actions, log_u)
                  for child, (_, _, stop, prefix, actions, log_u) in zip(children, pending)]

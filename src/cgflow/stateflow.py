@@ -262,13 +262,26 @@ def euler_rollout(
     (grid indices); :func:`integrate_packed` over ``(x,)``.
 
     ``cache`` is a caller-owned dict of earlier rollouts under this same
-    frozen ``model`` and ``sched``.  Its key is the whole input (components,
-    interval, ``snap`` and the bytes of the states and self-conditioning),
-    so a hit is exactly the object a fresh integration returns.
+    frozen ``model`` and ``sched``, keyed by :func:`rollout_key`, so a hit
+    is exactly the object a fresh integration returns.
     """
     if cache is None:
         return integrate_packed((x,), model, sched, from_step, to_step, snap)[0]
-    key = (
+    key = rollout_key(x, from_step, to_step, snap)
+    out = cache.get(key)
+    if out is None:
+        # integrate_packed, not euler_rollout: a miss must not re-enter the
+        # public function, which a tracer may have rebound
+        out = cache[key] = integrate_packed((x,), model, sched, from_step, to_step, snap)[0]
+    return out
+
+
+def rollout_key(x: ComposedObject, from_step: int, to_step: int, snap: bool) -> tuple:
+    """Rollout-cache key of integrating ``x`` over ``[from_step, to_step)``:
+    the whole input (components, interval, ``snap`` and the bytes of the
+    states and self-conditioning).  :func:`integrate_packed` gives each
+    object the bits it gets alone, so a packed result may fill the entry."""
+    return (
         x.components,
         from_step,
         to_step,
@@ -276,12 +289,6 @@ def euler_rollout(
         b"".join(s.tobytes() for s in x.states),
         b"".join(c.tobytes() for c in x.self_cond),
     )
-    out = cache.get(key)
-    if out is None:
-        # integrate_packed, not euler_rollout: a miss must not re-enter the
-        # public function, which a tracer may have rebound
-        out = cache[key] = integrate_packed((x,), model, sched, from_step, to_step, snap)[0]
-    return out
 
 
 def integrate_packed(

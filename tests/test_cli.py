@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cgflow import stateflow
 from cgflow.cli import RunConfig, _load_dataset, _write_jsonl, load_config, main, read_jsonl
-from cgflow.compstate import default_library_bytes
+from cgflow.compstate import default_library_bytes, encode_states
 from cgflow.domain import generate_dataset
 from cgflow.errors import EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISSING_FILE, ArtifactError
 
@@ -179,6 +181,18 @@ class TestPipeline:
         run(["train-stateflow", "--config", tiny_config])
         assert (tmp_path / "out" / "stateflow.ckpt").read_bytes() == ck
 
+    def test_tb_integrates_no_segment_of_the_probe_table(self, tiny_config, monkeypatch):
+        # the TV probe's table fills the rollout cache TB starts from, so no
+        # TB rollout misses it (a miss integrates through stateflow's own
+        # integrate_packed; the oracle holds its own binding)
+        assert run(["gen-data", "--config", tiny_config]) == 0
+        assert run(["train-stateflow", "--config", tiny_config]) == 0
+        calls = []
+        original = stateflow.integrate_packed
+        monkeypatch.setattr(stateflow, "integrate_packed", lambda xs, *a: calls.append(len(xs)) or original(xs, *a))
+        assert run(["train-policy", "--config", tiny_config]) == 0
+        assert calls == []
+
     def test_sampling_reuses_rollouts_and_stays_reproducible(self, tiny_config, tmp_path):
         run(["gen-data", "--config", tiny_config])
         run(["train-stateflow", "--config", tiny_config])
@@ -322,10 +336,11 @@ def empty_dataset(objective):
 
 
 def dataset_row(synthon_id="b2a", states=((0.0, 0.0), (1.0, 0.0))):
+    """A one-brick row: its attachment is open, so it is not terminal."""
     return json.dumps({
         "components": [{"synthon_id": synthon_id, "parent_component": None, "parent_attachment": None,
                         "child_attachment": None, "t_gen_step": 0}],
-        "states": [[list(p) for p in states]],
+        "states": encode_states([np.array(states)]),
         "open_attachments": [[0, 0]],
     }) + "\n"
 
@@ -344,26 +359,42 @@ CHAIN = [
 
 def chain_row(component=None, edit=None, n=3, states=None, open_attachments=()):
     """The first ``n`` components of ``CHAIN`` as a dataset row, with
-    ``edit`` applied to component ``component``."""
+    ``edit`` applied to component ``component``; ``states`` lists each
+    component's (x, y) rows (two points each by default)."""
     components = [dict(c) for c in CHAIN[:n]]
     if edit is not None:
         components[component].update(edit)
+    states = states if states is not None else [[[0.0, 0.0], [1.0, 0.0]]] * n
     return json.dumps({
         "components": components,
-        "states": states if states is not None else [[[0.0, 0.0], [1.0, 0.0]]] * n,
+        "states": encode_states([np.array(s) for s in states]),
         "open_attachments": [list(o) for o in open_attachments],
     }) + "\n"
+
+
+def chain_row_with_states_field(value):
+    """The chain row with ``value`` as its raw ``states`` field."""
+    doc = json.loads(chain_row())
+    doc["states"] = value
+    return json.dumps(doc) + "\n"
 
 
 # the chain's states with a one-point state for the two-point brick b2b
 SHORT_CHAIN_STATES = [[[0.0, 0.0], [1.0, 0.0]]] * 2 + [[[0.0, 0.0]]]
 
 
+def b3b_chain_row(b3b_points):
+    """The chain ending in the three-point brick b3b instead of b2b, with
+    ``b3b_points`` points in its last state."""
+    return chain_row(2, {"synthon_id": "b3b"}, states=[[[0.0, 0.0], [1.0, 0.0]]] * 2 + [[[0.0, 0.0]] * b3b_points])
+
+
 def dataset_rows(rows, objective="tb"):
+    """A dataset file of a valid lead row (the terminal chain), then ``rows``."""
     def setup(tmp_path, doc):
         doc["policy"]["objective"] = objective
         (tmp_path / "out").mkdir()
-        (tmp_path / "out" / "dataset.jsonl").write_text(META + dataset_row() + rows)
+        (tmp_path / "out" / "dataset.jsonl").write_text(META + chain_row() + rows)
         return config_bytes(doc)
 
     return setup
@@ -405,13 +436,32 @@ FAILURES = {
         "train-stateflow", empty_dataset("tb"), EXIT_INVARIANT, "invalid-artifact"),
     "empty-dataset-ce-train-policy": (
         "train-policy", empty_dataset("ce"), EXIT_INVARIANT, "invalid-artifact"),
-    # b2a has two points: a row with one, or three, is not an object of this library
+    # b3b has three points: a row with two, or four, is not an object of this library
     "dataset-short-state-train-stateflow": (
-        "train-stateflow", dataset_rows(dataset_row(states=((0.0, 0.0),))), EXIT_INVARIANT, "invalid-artifact"),
+        "train-stateflow", dataset_rows(b3b_chain_row(2)), EXIT_INVARIANT, "invalid-artifact"),
     "dataset-short-state-ce-train-policy": (
-        "train-policy", dataset_rows(dataset_row(states=((0.0, 0.0),)), "ce"), EXIT_INVARIANT, "invalid-artifact"),
+        "train-policy", dataset_rows(b3b_chain_row(2), "ce"), EXIT_INVARIANT, "invalid-artifact"),
     "dataset-long-state": (
-        "train-stateflow", dataset_rows(dataset_row(states=((0.0, 0.0),) * 3)), EXIT_INVARIANT, "invalid-artifact"),
+        "train-stateflow", dataset_rows(b3b_chain_row(4)), EXIT_INVARIANT, "invalid-artifact"),
+    # a lone brick keeps its attachment open: an object never finished
+    "dataset-non-terminal-row-train-stateflow": (
+        "train-stateflow", dataset_rows(dataset_row()), EXIT_INVARIANT, "invalid-artifact"),
+    "dataset-non-terminal-row-ce-train-policy": (
+        "train-policy", dataset_rows(dataset_row(), "ce"), EXIT_INVARIANT, "invalid-artifact"),
+    # the states field: the old list form, text that is not base64, a cut
+    # value, and values that do not parse as finite floats
+    "dataset-list-form-states": (
+        "train-stateflow", dataset_rows(chain_row_with_states_field([[[0.0, 0.0], [1.0, 0.0]]] * 3)),
+        EXIT_INVARIANT, "invalid-artifact"),
+    "dataset-states-not-base64": (
+        "train-stateflow", dataset_rows(chain_row_with_states_field("not base64!")), EXIT_INVARIANT, "invalid-artifact"),
+    "dataset-states-partial-value": (
+        "train-stateflow", dataset_rows(chain_row_with_states_field(encode_states([np.zeros(2)])[:16])),
+        EXIT_INVARIANT, "invalid-artifact"),
+    "dataset-states-nan": (
+        "train-stateflow",
+        dataset_rows(chain_row(states=[[[0.0, 0.0], [1.0, 0.0]]] * 2 + [[[np.nan, 0.0], [1.0, 0.0]]])),
+        EXIT_INVARIANT, "invalid-artifact"),
     "dataset-unknown-synthon": (
         "train-stateflow", dataset_rows(dataset_row(synthon_id="zz")), EXIT_INVARIANT, "invalid-artifact"),
     # rows whose composition is not what its own components build
@@ -494,11 +544,54 @@ class TestDatasetLoad:
         assert all(a.flags.writeable for a in arrays)
 
     def test_memo_hit_is_shape_checked_and_named_by_its_row(self, tmp_path, capsys):
+        # the states text stores no per-component shape, so a state one
+        # point short shows as a value count two short
         path = tmp_path / "config.json"
         path.write_bytes(dataset_rows(chain_row() + chain_row(states=SHORT_CHAIN_STATES))(tmp_path, tiny_config_dict()))
         assert run(["train-stateflow", "--config", path]) == EXIT_INVARIANT
         message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]["message"]
-        assert "object row 3, component 2: state shape (1, 2) != (2, 2)" in message
+        assert "object row 3: states hold 10 values, want 12 (2 per point)" in message
+
+    @pytest.mark.parametrize("overrides", [{}, {"schedule": {"lambda": 0.1, "max_components": 8},
+                                                "rules": {"max_len": 7, "p_max": 18}}], ids=["default", "wide"])
+    def test_gen_data_lines_are_object_dicts(self, tmp_path, overrides):
+        # the writer makes each composition's text once; every line is
+        # still the object's own to_dict, dumped with sorted keys
+        doc = tiny_config_dict()
+        doc["dataset_size"] = 400
+        for section, values in overrides.items():
+            doc[section].update(values)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert run(["gen-data", "--config", path]) == 0
+        config = load_config(path)
+        library = config.load_library()
+        data = generate_dataset(
+            config.dataset_size, config.seed, library, config.rules, config.schedule,
+            sigma_data=config.stateflow.sigma_data,
+        )
+        lines = (tmp_path / "out" / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == json.dumps({"record": "meta", **config.meta()}, sort_keys=True)
+        assert lines[1:] == [json.dumps(x.to_dict(), sort_keys=True) for x in data]
+        assert len({x.components for x in data}) < len(data) // 4
+
+    def test_states_decode_to_the_written_values(self, tmp_path):
+        doc = tiny_config_dict()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        states = [[[-0.0, 5e-324], [1.5, -2.2250738585072014e-308]], [[1e308, -1e-310], [0.1, 0.2]],
+                  [[3.0, 4.0], [-7.25, 1 / 3]]]
+        dataset_rows(chain_row(states=states))(tmp_path, doc)
+        config = load_config(path)
+        lead, x = _load_dataset(config, config.load_library())
+        assert [s.tobytes() for s in x.states] == [np.array(s).tobytes() for s in states]
+        assert [s.tobytes() for s in x.self_cond] == [np.array(s).tobytes() for s in states]
+        assert np.signbit(x.states[0][0, 0])
+        # one matrix per row for the states and one copy for the
+        # self-conditioning
+        assert len({id(s.base) for s in x.states}) == 1
+        assert not np.shares_memory(x.states[0].base, x.self_cond[0].base)
+        assert not np.shares_memory(x.states[0].base, lead.states[0].base)
 
     def test_valid_rows_train(self, tmp_path):
         # the rows the failure cases edit are valid as they stand
@@ -517,6 +610,50 @@ class TestDatasetLoad:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"]["kind"] == "invalid-artifact"
         assert "t_gen_step" in record["error"]["message"]
+
+
+# valid chain states: 12 values
+CHAIN_STATES_TEXT = encode_states([np.array([[0.0, 0.0], [1.0, 0.0]])] * 3)
+
+STATES_FIELDS = st.one_of(
+    st.text(max_size=40),
+    st.integers(0, len(CHAIN_STATES_TEXT)).map(lambda k: CHAIN_STATES_TEXT[:k]),
+    # any count of any float64 values: wrong lengths, NaN and infinities,
+    # and now and then exactly 12 finite values
+    st.lists(st.floats(), max_size=16).map(lambda v: encode_states([np.array(v, dtype=np.float64)])),
+    # the old list form, with NaN and infinities (json writes them as literals)
+    st.lists(st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=3), max_size=3),
+    st.none(),
+    st.integers(),
+    st.floats(),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "config.json").write_text(json.dumps(tiny_config_dict()))
+    (path / "out").mkdir()
+    return path
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=STATES_FIELDS)
+def test_states_field_fuzz_never_fails_internally(fuzz_dir, value):
+    # a dataset row whose states field is anything either loads with
+    # finite values of the right count, or is rejected as an invalid
+    # artifact (exit 5); nothing else may escape (exit 1)
+    (fuzz_dir / "out" / "dataset.jsonl").write_text(META + chain_row() + chain_row_with_states_field(value))
+    config = load_config(fuzz_dir / "config.json")
+    try:
+        data = _load_dataset(config, config.load_library())
+    except ArtifactError as exc:
+        assert "object row 2" in str(exc)
+        return
+    assert isinstance(value, str)
+    values = np.concatenate([s.ravel() for s in data[1].states])
+    assert values.size == 12 and np.isfinite(values).all()
 
 
 class TestFailureCodes:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
@@ -13,8 +14,10 @@ from cgflow.compstate import (
     FirstSynthon,
     Synthon,
     SynthonLibrary,
+    decode_states,
     decompose,
     default_library_bytes,
+    encode_states,
     ground_truth_layout,
     grow,
     initial_state_sample,
@@ -25,7 +28,7 @@ from cgflow.compstate import (
     valid_orders,
 )
 from cgflow.domain import RuleSet, action_space, generate_dataset
-from cgflow.errors import ConfigError, InvariantError
+from cgflow.errors import ArtifactError, ConfigError, InvariantError
 from cgflow.schedule import Schedule
 
 
@@ -417,3 +420,64 @@ class TestReplayDeterminism:
             n_bricks = len(x.components) - n_linkers
             bonds = len(x.components) - 1
             assert len(x.open_attachments) == n_bricks + 2 * n_linkers - 2 * bonds
+
+
+# values whose bits a text round trip could lose: signed zeros, subnormals,
+# the extremes and a repeating binary fraction
+EDGE_STATES = [
+    np.array([[-0.0, 0.0], [5e-324, -5e-324]]),
+    np.array([[2.2250738585072014e-308 / 3, 1.7976931348623157e308], [-1e-310, 1 / 3]]),
+    np.array([[0.1, -0.2], [0.3, 7.0], [-1.5, 2.0**-1074 * 3]]),
+]
+
+
+class TestStateEncoding:
+    def test_round_trip_is_bitwise(self):
+        states, conds = decode_states(encode_states(EDGE_STATES), [2, 2, 3])
+        for got in (states, conds):
+            assert [s.tobytes() for s in got] == [s.tobytes() for s in EDGE_STATES]
+        assert np.signbit(states[0][0, 0]) and not np.signbit(states[0][0, 1])
+        assert states[0][1, 0] == 5e-324
+
+    def test_text_is_base64_of_little_endian_rows_in_component_order(self):
+        text = encode_states(EDGE_STATES)
+        want = np.concatenate(EDGE_STATES).astype("<f8").tobytes()
+        assert base64.b64decode(text, validate=True) == want
+        # views, non-contiguous ones too, encode their values
+        assert encode_states([EDGE_STATES[2][::2]]) == encode_states([EDGE_STATES[2][[0, 2]].copy()])
+        assert encode_states([]) == ""
+
+    def test_decoded_arrays_are_views_of_one_writable_matrix_and_one_copy(self):
+        states, conds = decode_states(encode_states(EDGE_STATES), [2, 2, 3])
+        assert [s.shape for s in states] == [(2, 2), (2, 2), (3, 2)]
+        assert all(s.dtype == np.float64 and s.flags.writeable for s in states + conds)
+        assert len({id(s.base) for s in states}) == 1 and len({id(c.base) for c in conds}) == 1
+        assert states[0].base.size == 14
+        assert not np.shares_memory(states[0].base, conds[0].base)
+        states[1][0, 0] = 9.0
+        assert conds[1][0, 0] != 9.0
+
+    def test_to_dict_writes_the_encoded_states(self, library, sched):
+        x = generate_dataset(3, 4, library, RuleSet(), sched)[2]
+        assert x.to_dict()["states"] == encode_states(x.states)
+        assert EMPTY_OBJECT.to_dict()["states"] == ""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ([[[0.0, 0.0]]], "old list-of-rows format"),
+            (None, "base64 string, got NoneType"),
+            ("AAAA*AAA", "not base64"),
+            ("AAAAAAAAAAA", "not base64"),  # padding missing
+            ("é", "not base64"),
+            (encode_states([np.zeros(2)])[:16], "12 bytes, not a whole number"),
+            (encode_states([np.zeros(3)]), "3 values, want 4"),
+            (encode_states([np.array([0.0, np.nan, 0.0, 0.0])]), "non-finite"),
+            (encode_states([np.array([0.0, 0.0, -np.inf, 0.0])]), "non-finite"),
+        ],
+        ids=["list-form", "null", "bad-character", "unpadded", "not-ascii", "partial-value", "short",
+             "nan", "infinity"],
+    )
+    def test_malformed_text_is_an_artifact_error(self, text, message):
+        with pytest.raises(ArtifactError, match=message):
+            decode_states(text, [2])

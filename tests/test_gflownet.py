@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cgflow import stateflow
 from cgflow.compstate import (
     EMPTY_OBJECT,
     AddSynthon,
@@ -299,6 +300,32 @@ class TestRolloutReuse:
                 assert np.array_equal(g_plain[name], g_cached[name])
         # about one entry per decision segment, shared across trajectories
         assert 0 < len(cache) < 24 * (rules.max_len + 1)
+
+    def test_tb_starts_from_the_oracle_tables_rollouts(
+        self, models, library, sched, rules, reward_params, monkeypatch
+    ):
+        # packed integration gives each object its solo bits, so the table's
+        # rollouts are exact cache hits: TB integrates nothing again and
+        # trains bit for bit as from an empty cache
+        _, state_model = models
+        hyper = PolicyHyper(batch=8, iters=3, lr=1e-3, lr_log_z=1e-1)
+        cache: dict = {}
+        table = enumerate_sequences(rules, sched, state_model, library, reward_params, 5, rollout_cache=cache)
+        assert len(cache) == len(table) + len(table.decisions) - 1  # one entry per segment of the tree
+        fresh, fresh_metrics = train_policy_tb(state_model, sched, rules, library, reward_params, hyper, run_seed=5)
+        entries = dict(cache)
+        calls = []
+        original = stateflow.integrate_packed
+        monkeypatch.setattr(stateflow, "integrate_packed", lambda xs, *a: calls.append(len(xs)) or original(xs, *a))
+        reused, metrics = train_policy_tb(
+            state_model, sched, rules, library, reward_params, hyper, run_seed=5, rollout_cache=cache
+        )
+        assert calls == []
+        assert cache.keys() == entries.keys() and all(cache[k] is v for k, v in entries.items())
+        strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+        assert strip(metrics) == strip(fresh_metrics)
+        for name in fresh.store.names():
+            assert fresh.store.get(name).tobytes() == reused.store.get(name).tobytes()
 
     @pytest.mark.parametrize("mode", ["paper", "rectified"])
     def test_matches_step_by_step_integration(self, models, library, rules, reward_params, mode):

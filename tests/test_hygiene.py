@@ -193,3 +193,36 @@ def test_detects_module_level_cache():
     assert module_level_empty_containers(source) == [
         "A (line 1)", "B (line 2)", "C (line 3)", "D (line 4)", "E (line 5)",
     ]
+
+
+# the modules that turn bytes into text; the states' text format
+# (compstate.encode_states / decode_states) is the package's only use
+TEXT_CODECS = {"base64", "binascii"}
+
+
+def codec_imports(source: str) -> list[str]:
+    """Imports of a module in ``TEXT_CODECS``, or of a name from one."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module.split(".")[0]]
+        else:
+            continue
+        out.extend(f"{name} (line {node.lineno})" for name in names if name in TEXT_CODECS)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_state_text_encoding_only_in_compstate(path):
+    found = codec_imports(path.read_text(encoding="utf-8"))
+    if path.name == "compstate.py":
+        assert found
+    else:
+        assert found == []
+
+
+def test_detects_codec_import():
+    source = "import base64\nfrom binascii import a2b_base64\nimport json, binascii as b\nimport codecs\n"
+    assert codec_imports(source) == ["base64 (line 1)", "binascii (line 2)", "binascii (line 3)"]

@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import sys
 import typing
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ import numpy as np
 from . import oracle
 from .compstate import (
     EMPTY_OBJECT,
+    NO_STATES,
     AddSynthon,
     ComponentInstance,
     ComposedObject,
@@ -232,10 +234,10 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
-def iter_jsonl(path: str | Path) -> typing.Iterator[tuple[int, dict]]:
-    """``(line number, object)`` for each line of a JSONL artifact, parsed
-    one line at a time; a line that is cut, not JSON or not an object
-    raises ``ArtifactError``."""
+def iter_lines(path: str | Path) -> typing.Iterator[tuple[int, str]]:
+    """``(line number, text)`` for each line of a JSONL artifact, newline
+    kept, read one line at a time; a cut last line or text that is not
+    UTF-8 raises ``ArtifactError``."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing artifact: {path}")
@@ -244,15 +246,28 @@ def iter_jsonl(path: str | Path) -> typing.Iterator[tuple[int, dict]]:
             for lineno, line in enumerate(fh, start=1):
                 if not line.endswith("\n"):
                     raise ArtifactError(f"{path}:{lineno}: truncated line (no newline)")
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ArtifactError(f"{path}:{lineno}: corrupt JSONL line: {exc}") from None
-                if not isinstance(doc, dict):
-                    raise ArtifactError(f"{path}:{lineno}: JSONL line is not an object")
-                yield lineno, doc
+                yield lineno, line
     except UnicodeDecodeError as exc:
         raise ArtifactError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def parse_line(path: str | Path, lineno: int, line: str) -> dict:
+    """The JSON object on one line of a JSONL artifact; a line that is not
+    JSON or not an object raises ``ArtifactError``."""
+    try:
+        doc = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an int past the digit limit, deep nesting
+        raise ArtifactError(f"{path}:{lineno}: corrupt JSONL line: {type(exc).__name__}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ArtifactError(f"{path}:{lineno}: JSONL line is not an object")
+    return doc
+
+
+def iter_jsonl(path: str | Path) -> typing.Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each line of a JSONL artifact:
+    :func:`iter_lines` parsed by :func:`parse_line`."""
+    for lineno, line in iter_lines(path):
+        yield lineno, parse_line(path, lineno, line)
 
 
 def read_jsonl(path: str | Path) -> tuple[dict, list[dict]]:
@@ -284,13 +299,12 @@ def _paths(config: RunConfig) -> dict[str, Path]:
 
 def _composition(
     key: tuple, library: SynthonLibrary, config: RunConfig
-) -> tuple[tuple[ComponentInstance, ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """Components, open attachments and per-component point counts of a
-    dataset row's composition ``key`` (its component fields and open
-    attachments), checked by replaying the components through ``grow``
-    under the config's schedule and point budget.  Raises ``ArtifactError``
-    unless the row records exactly what the replay builds and the object is
-    terminal."""
+) -> tuple[tuple[ComponentInstance, ...], tuple[tuple[int, int], ...], int]:
+    """Components, open attachments and point count of a dataset row's
+    composition ``key`` (its component fields and open attachments),
+    checked by replaying the components through ``grow`` under the config's
+    schedule and point budget.  Raises ``ArtifactError`` unless the row
+    records exactly what the replay builds and the object is terminal."""
     fields, opens = key
     if not fields:
         raise ArtifactError("object has no components")
@@ -308,55 +322,104 @@ def _composition(
             x = grow(x, action, library, config.schedule, config.rules.p_max)
     except InvariantError as exc:
         raise ArtifactError(f"composition does not replay: {exc}") from None
-    if x.components != tuple(ComponentInstance(*f) for f in fields):
+    replayed = tuple(dataclasses.astuple(c) for c in x.components)
+    if repr(replayed) != repr(fields):  # repr tells 6 from 6.0 and 0 from false, as == does not
         raise ArtifactError("components differ from their replay (parents, attachments or t_gen_step)")
     if x.open_attachments != opens:
         raise ArtifactError(f"open attachments {list(opens)} != {list(x.open_attachments)} of the replay")
     if not x.is_terminal:
         raise ArtifactError(f"object is not terminal: open attachments {list(opens)}")
-    counts = tuple(library.get(c.synthon_id).n_points for c in x.components)
-    return x.components, x.open_attachments, counts
+    return x.components, x.open_attachments, x.total_points(library)
+
+
+# a dataset line's head is its text up to and including the last of these;
+# ``_load_dataset`` memoises each composition under the heads of its lines
+_STATES_KEY = '"states": '
+# a tail that ``json.loads`` reads as just this base64 string and the end
+# of the object
+_STATES_TAIL = re.compile(r'"([A-Za-z0-9+/=]*)"}\n')
+
+
+def _states_tail_of(doc: dict, head: str, line: str) -> bool:
+    """Whether ``line`` (which parses to ``doc``) is ``head``, then its
+    states text as a JSON string, then the closing brace, and the string
+    after ``head`` is the value of the object's ``states`` key; then
+    ``head`` followed by any other base64 string and the brace parses to
+    ``doc`` with that string as its states.  The second parse rules out a
+    head whose last ``"states": `` is not the key ``json.loads`` reads."""
+    text = doc["states"]
+    if type(text) is not str or not text or line[len(head):] != f'"{text}"}}\n':
+        return False
+    return json.loads(head + '""}') == {**doc, "states": ""}
 
 
 def _load_dataset(config: RunConfig, library: SynthonLibrary) -> list[ComposedObject]:
-    """Dataset objects, parsed one line at a time.  Each distinct
-    composition is checked once (``_composition``); each row's states text
-    is decoded once (``compstate.decode_states``) and must hold one finite
-    (x, y) row per point of its components' synthons."""
+    """Dataset objects, read one line at a time.
+
+    A line's head is its text up to and including the last ``"states": ``.
+    The first line with a given head goes through ``json.loads``; each
+    distinct composition is checked once (``_composition``).  If that
+    line's tail is just its states string and the closing brace, as every
+    line ``gen-data`` writes ends, the head is stored with the composition.
+    A later line with that head whose tail is a base64 string and the brace
+    is that composition with that states text, which is what ``json.loads``
+    would give, so it skips the parse; any other line is parsed.  Each
+    row's states text is decoded once (``compstate.decode_states``) and must
+    hold one finite (x, y) row per point of its components' synthons.
+    """
     path = _paths(config)["dataset"]
-    compositions: dict[tuple, tuple] = {}
+    compositions: dict[str, tuple] = {}  # repr of a row's composition fields -> _composition
+    heads: dict[str, tuple] = {}  # line head -> _composition
     data: list[ComposedObject] = []
-    for _, doc in iter_jsonl(path):
-        if doc.get("record") == "meta":
-            continue
-        row = len(data) + 1
+    for lineno, line in iter_lines(path):
+        cut = line.rfind(_STATES_KEY) + len(_STATES_KEY)
+        head = line[:cut] if cut >= len(_STATES_KEY) else None
+        composition = heads.get(head)
+        tail = _STATES_TAIL.fullmatch(line, cut) if composition is not None else None
+        doc = None
+        if tail is None:
+            doc = parse_line(path, lineno, line)
+            if doc.get("record") == "meta":
+                continue
         try:
-            key = (
-                tuple(
-                    (c["synthon_id"], c["parent_component"], c["parent_attachment"],
-                     c["child_attachment"], c["t_gen_step"])
-                    for c in doc["components"]
-                ),
-                tuple(tuple(o) for o in doc["open_attachments"]),
-            )
-            composition = compositions.get(key)
-            text = doc["states"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArtifactError(f"{path}: malformed object row: {type(exc).__name__}: {exc}") from None
-        if composition is None:
-            try:
-                composition = compositions[key] = _composition(key, library, config)
-            except ArtifactError as exc:
-                raise ArtifactError(f"{path}: object row {row}: {exc}") from None
-        components, open_attachments, counts = composition
-        try:
-            states, self_cond = decode_states(text, counts)
+            if doc is None:
+                text = tail.group(1)
+            else:
+                composition, text = _row_composition(doc, compositions, library, config)
+            components, open_attachments, n_points = composition
+            states = decode_states(text, n_points)
         except ArtifactError as exc:
-            raise ArtifactError(f"{path}: object row {row}: {exc}") from None
-        data.append(ComposedObject(components, states, self_cond, open_attachments))
+            raise ArtifactError(f"{path}: object row {len(data) + 1}: {exc}") from None
+        if doc is not None and head is not None and head not in heads and _states_tail_of(doc, head, line):
+            heads[head] = composition
+        data.append(ComposedObject(components, states, states, open_attachments))
     if not data:
         raise ArtifactError(f"{path}: dataset has no object rows")
     return data
+
+
+def _row_composition(doc: dict, memo: dict, library: SynthonLibrary, config: RunConfig) -> tuple[tuple, object]:
+    """A parsed dataset row's checked composition (``_composition``,
+    memoised in ``memo``) and its states field.  The memo is keyed on the
+    ``repr`` of the row's composition fields, which tells ``0`` from
+    ``0.0`` and ``false`` as equality does not."""
+    try:
+        key = (
+            tuple(
+                (c["synthon_id"], c["parent_component"], c["parent_attachment"],
+                 c["child_attachment"], c["t_gen_step"])
+                for c in doc["components"]
+            ),
+            tuple(tuple(o) for o in doc["open_attachments"]),
+        )
+        text = doc["states"]
+        memo_key = repr(key)
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise ArtifactError(f"malformed: {type(exc).__name__}: {exc}") from None
+    composition = memo.get(memo_key)
+    if composition is None:
+        composition = memo[memo_key] = _composition(key, library, config)
+    return composition, text
 
 
 def _load_stateflow(config: RunConfig, library: SynthonLibrary) -> StateFlowModel:
@@ -395,7 +458,7 @@ def cmd_gen_data(config: RunConfig) -> None:
             key = (obj.components, obj.open_attachments)
             head = heads.get(key)
             if head is None:
-                text = json.dumps(dataclasses.replace(obj, states=()).to_dict(), sort_keys=True)
+                text = json.dumps(dataclasses.replace(obj, states=NO_STATES).to_dict(), sort_keys=True)
                 head = heads[key] = text[: -len('""}')]
             yield head + json.dumps(encode_states(obj.states)) + "}"
 
@@ -538,8 +601,11 @@ def cmd_evaluate(config: RunConfig, samples_path: Path, table_path: Path) -> dic
         p_model = None
         if "p_model" in seq_rows[0]:
             p_model = np.array([float(r["p_model"]) for r in seq_rows])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"{table_path}: malformed oracle table: {type(exc).__name__}: {exc}") from None
+    bad_keys = [k for k in keys if type(k) is not str]
+    if bad_keys:
+        raise ArtifactError(f"{table_path}: malformed oracle table: sequence key {bad_keys[0]!r} is not a string")
 
     counts = dict.fromkeys(keys, 0)
     rewards = []
@@ -548,7 +614,7 @@ def cmd_evaluate(config: RunConfig, samples_path: Path, table_path: Path) -> dic
         try:
             key = sequence_key(action_from_dict(a["action"]) for a in row["actions"])
             reward = float(row["reward"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ArtifactError(f"{samples_path}: malformed sample row: {type(exc).__name__}: {exc}") from None
         if key not in counts:
             raise InvariantError(f"sampled sequence {key} missing from oracle table")

@@ -1,18 +1,20 @@
 """Composed objects: component instances, seeded transitions, layouts, orders.
 
 An object is a pair (composition, states): an ordered list of component
-instances drawn from a synthon library, plus one (m_i, 2) coordinate array
-per component.  Objects are immutable; :func:`transition` returns a new
-object.  The initial coordinates of a freshly added component are drawn from
-a Gaussian prior with an RNG seeded by ``(global_seed, point count before
-the append)`` — the size-based seed rule that makes the whole sampling
-process a deterministic function of the action sequence.
+instances drawn from a synthon library, plus one read-only (P, 2) matrix of
+the components' point coordinates, stacked in component order (P the total
+point count).  :func:`component_states` is the one per-component view.
+Objects are immutable; :func:`transition` returns a new object.  The initial
+coordinates of a freshly added component are drawn from a Gaussian prior
+with an RNG seeded by ``(global_seed, point count before the append)`` — the
+size-based seed rule that makes the whole sampling process a deterministic
+function of the action sequence.
 """
 
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from typing import Iterable, NamedTuple, Sequence
@@ -151,6 +153,12 @@ class SynthonLibrary:
         return {}
 
     @cached_property
+    def row_layouts(self) -> dict:
+        """Memo for :func:`row_layout`, keyed on an object's components.
+        Stored on the library object like ``static_features``."""
+        return {}
+
+    @cached_property
     def decompositions(self) -> dict:
         """Memo for :func:`decompose`, keyed on an object's components: its
         valid construction orders, the read-only rigid poses of its
@@ -259,11 +267,27 @@ class ComponentInstance:
     t_gen_step: int
 
 
+def _frozen_states(states) -> np.ndarray:
+    """A read-only float64 copy of ``states`` as one (P, 2) matrix."""
+    out = np.array(states, dtype=np.float64)
+    if out.ndim != 2 or out.shape[1] != 2:
+        raise InvariantError(f"states must be one (P, 2) matrix, got shape {out.shape}")
+    out.flags.writeable = False
+    return out
+
+
+NO_STATES = _frozen_states(np.zeros((0, 2)))
+
+
 @dataclass(frozen=True)
 class ComposedObject:
+    """Components, their stacked (P, 2) states and self-conditioning (one
+    read-only matrix each, rows in component order; an object without
+    states holds :data:`NO_STATES`), and the open attachments."""
+
     components: tuple[ComponentInstance, ...] = ()
-    states: tuple[np.ndarray, ...] = ()
-    self_cond: tuple[np.ndarray, ...] = ()
+    states: np.ndarray = field(default_factory=lambda: NO_STATES)
+    self_cond: np.ndarray = field(default_factory=lambda: NO_STATES)
     open_attachments: tuple[tuple[int, int], ...] = ()
 
     @property
@@ -277,18 +301,16 @@ class ComposedObject:
     def total_points(self, library: SynthonLibrary) -> int:
         return sum(library.get(c.synthon_id).n_points for c in self.components)
 
-    def with_states(
-        self,
-        states: Sequence[np.ndarray],
-        self_cond: Sequence[np.ndarray] | None = None,
-    ) -> "ComposedObject":
-        new_states = tuple(np.array(s, dtype=np.float64) for s in states)
-        if len(new_states) != len(self.components):
-            raise InvariantError("states list length must equal component count")
-        cond = self.self_cond if self_cond is None else tuple(
-            np.array(s, dtype=np.float64) for s in self_cond
-        )
-        return replace(self, states=new_states, self_cond=cond)
+    def with_states(self, states, self_cond=None) -> "ComposedObject":
+        """This composition with read-only copies of ``states`` and, when
+        given, ``self_cond`` (each one (P, 2) matrix); a ``self_cond`` that
+        is ``states`` itself shares its copy."""
+        new = _frozen_states(states)
+        if self_cond is None:
+            cond = self.self_cond
+        else:
+            cond = new if self_cond is states else _frozen_states(self_cond)
+        return ComposedObject(self.components, new, cond, self.open_attachments)
 
     def to_dict(self) -> dict:
         doc = {
@@ -308,22 +330,45 @@ class ComposedObject:
         return doc
 
 
-def encode_states(states: Sequence[np.ndarray]) -> str:
-    """The ``states`` text of an object in JSONL artifacts: its components'
-    (x, y) rows concatenated in component order as little-endian float64
+class RowLayout(NamedTuple):
+    """Where each component's points sit in an object's states matrix."""
+
+    offsets: tuple[int, ...]  # component i owns rows offsets[i]:offsets[i + 1]
+    owner: np.ndarray  # read-only component index of each row
+
+
+def row_layout(components: tuple[ComponentInstance, ...], library: SynthonLibrary) -> RowLayout:
+    """The ``library.row_layouts`` entry of ``components``, built on first use."""
+    hit = library.row_layouts.get(components)
+    if hit is None:
+        counts = [library.get(c.synthon_id).n_points for c in components]
+        owner = np.repeat(np.arange(len(counts)), counts)
+        owner.flags.writeable = False
+        hit = library.row_layouts[components] = RowLayout(tuple(np.cumsum([0, *counts]).tolist()), owner)
+    return hit
+
+
+def component_states(x: ComposedObject, i: int, library: SynthonLibrary, self_cond: bool = False) -> np.ndarray:
+    """The (m_i, 2) rows of component ``i`` in ``x.states`` (or, with
+    ``self_cond``, in ``x.self_cond``): a read-only view."""
+    offsets = row_layout(x.components, library).offsets
+    rows = x.self_cond if self_cond else x.states
+    return rows[offsets[i] : offsets[i + 1]]
+
+
+def encode_states(states) -> str:
+    """The ``states`` text of an object in JSONL artifacts: its (P, 2)
+    states matrix (rows in component order) as little-endian float64
     (:data:`STATE_DTYPE`), base64-encoded.  The text stores no per-component
-    shape; :func:`decode_states` takes the point counts from the components."""
-    return base64.b64encode(b"".join(np.asarray(s, dtype=STATE_DTYPE).tobytes() for s in states)).decode("ascii")
+    shape; :func:`decode_states` takes the point count from the components."""
+    return base64.b64encode(np.asarray(states, dtype=STATE_DTYPE).tobytes()).decode("ascii")
 
 
-def decode_states(text: object, counts: Sequence[int]) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """States and self-conditioning from the :func:`encode_states` text of an
-    object whose components hold ``counts`` points.
-
-    The states are per-component row views of one writable ``(sum(counts),
-    2)`` matrix, and the self-conditioning row views of one copy of it; the
-    values are bitwise the encoded ones.  Raises ``ArtifactError`` unless
-    ``text`` is a base64 string of exactly ``2 * sum(counts)`` finite values.
+def decode_states(text: object, n_points: int) -> np.ndarray:
+    """The read-only (n_points, 2) states matrix of the :func:`encode_states`
+    text of an object, bitwise the encoded values; being read-only, it can
+    serve as the self-conditioning too.  Raises ``ArtifactError`` unless
+    ``text`` is a base64 string of exactly ``2 * n_points`` finite values.
     """
     if type(text) is not str:
         old = " (the old list-of-rows format)" if type(text) is list else ""
@@ -334,19 +379,15 @@ def decode_states(text: object, counts: Sequence[int]) -> tuple[tuple[np.ndarray
         raise ArtifactError(f"states are not base64: {exc}") from None
     if len(raw) % STATE_DTYPE.itemsize:
         raise ArtifactError(f"states hold {len(raw)} bytes, not a whole number of float64 values")
-    want = 2 * sum(counts)
+    want = 2 * n_points
     if len(raw) != want * STATE_DTYPE.itemsize:
         raise ArtifactError(f"states hold {len(raw) // STATE_DTYPE.itemsize} values, want {want} (2 per point)")
-    state = np.frombuffer(raw, dtype=STATE_DTYPE).astype(np.float64).reshape(-1, 2)
+    # a view of the immutable bytes (a copy only on a big-endian host)
+    state = np.frombuffer(raw, dtype=STATE_DTYPE).astype(np.float64, copy=False).reshape(-1, 2)
     if not np.isfinite(state).all():
         raise ArtifactError("states hold a non-finite value")
-    cond = state.copy()
-    states, conds, start = [], [], 0
-    for m in counts:
-        states.append(state[start : start + m])
-        conds.append(cond[start : start + m])
-        start += m
-    return tuple(states), tuple(conds)
+    state.flags.writeable = False
+    return state
 
 
 EMPTY_OBJECT = ComposedObject()
@@ -418,10 +459,15 @@ def transition(
     :func:`grow`'s structural step, then the size-seeded prior draw."""
     instance, open_attachments, points_before, n_points = _attach(x, action, library, sched, p_max)
     s0 = initial_state_sample(global_seed, points_before, n_points)
+    states = np.concatenate([x.states, s0])
+    states.flags.writeable = False
+    # one matrix serves both while they are equal (a replayed prefix)
+    cond = states if x.self_cond is x.states else np.concatenate([x.self_cond, s0])
+    cond.flags.writeable = False
     return ComposedObject(
         components=x.components + (instance,),
-        states=x.states + (s0,),
-        self_cond=x.self_cond + (s0.copy(),),
+        states=states,
+        self_cond=cond,
         open_attachments=open_attachments,
     )
 
@@ -435,7 +481,7 @@ def grow(
 ) -> ComposedObject:
     """:func:`transition` without the prior draw, for passes that read only
     the composition: the same checks, components and open attachments, and
-    no states (the result's ``states`` and ``self_cond`` are empty)."""
+    no states (the result holds :data:`NO_STATES`)."""
     instance, open_attachments, _, _ = _attach(x, action, library, sched, p_max)
     return ComposedObject(components=x.components + (instance,), open_attachments=open_attachments)
 
@@ -673,12 +719,16 @@ def _plan(
     order: Sequence[int],
     actions: Sequence[ActionRef],
     root_pose: tuple[np.ndarray, np.ndarray] | None,
+    offsets: Sequence[int],
 ) -> list[PlanStep]:
     """Pair each action with its component's stored state, re-expressed in
-    the frame of ``root_pose`` (the new root's rigid pose) when given."""
+    the frame of ``root_pose`` (the new root's rigid pose) when given;
+    component ``i`` owns rows ``offsets[i]:offsets[i + 1]`` of the states.
+    The product stays per component: a stacked 2-column product would not
+    give each component's rows their own bits."""
     steps: list[PlanStep] = []
     for orig, action in zip(order, actions):
-        s1 = np.array(x.states[orig], dtype=np.float64)
+        s1 = np.array(x.states[offsets[orig] : offsets[orig + 1]])
         if root_pose is not None:
             rot0, shift0 = root_pose
             s1 = (s1 - shift0) @ rot0
@@ -699,7 +749,8 @@ def plan_for_order(
         # first component, so training targets must share that gauge.
         _, poses = ground_truth_layout(x.components, library, return_poses=True)
         root_pose = poses[order[0]]
-    return _plan(x, order, _order_actions(x.components, order), root_pose)
+    offsets = row_layout(x.components, library).offsets
+    return _plan(x, order, _order_actions(x.components, order), root_pose, offsets)
 
 
 class _Decomposition(NamedTuple):
@@ -708,6 +759,7 @@ class _Decomposition(NamedTuple):
     orders: tuple[tuple[int, ...], ...]  # every valid order, recorded one included
     poses: tuple[tuple[np.ndarray, np.ndarray], ...]  # read-only layout poses
     actions: dict  # order -> its plan actions, filled as orders are drawn
+    offsets: tuple[int, ...]  # row_layout(components).offsets
 
 
 def _decomposition(components: tuple[ComponentInstance, ...], library: SynthonLibrary) -> _Decomposition:
@@ -719,7 +771,8 @@ def _decomposition(components: tuple[ComponentInstance, ...], library: SynthonLi
         for pose in poses:
             for arr in pose:
                 arr.flags.writeable = False
-        hit = library.decompositions[components] = _Decomposition(orders, tuple(poses), {})
+        offsets = row_layout(components, library).offsets
+        hit = library.decompositions[components] = _Decomposition(orders, tuple(poses), {}, offsets)
     return hit
 
 
@@ -742,7 +795,7 @@ def decompose(
     the components, so they come from ``library.decompositions``; the plan
     is bitwise what :func:`valid_orders` and :func:`plan_for_order` give.
     """
-    orders, poses, actions = _decomposition(x.components, library)
+    orders, poses, actions, offsets = _decomposition(x.components, library)
     recorded = tuple(range(len(x.components)))
     if rng is None:
         order = recorded
@@ -753,4 +806,4 @@ def decompose(
     order_actions = actions.get(order)
     if order_actions is None:
         order_actions = actions[order] = _order_actions(x.components, order)
-    return _plan(x, order, order_actions, poses[order[0]] if canonicalize else None)
+    return _plan(x, order, order_actions, poses[order[0]] if canonicalize else None, offsets)

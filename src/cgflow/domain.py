@@ -25,6 +25,7 @@ from .compstate import (
     complementary,
     ground_truth_layout,
     grow,
+    row_layout,
 )
 from .errors import ConfigError, InvariantError
 from .schedule import Schedule
@@ -175,16 +176,14 @@ def log_reward(x: ComposedObject, params: RewardParams, library: SynthonLibrary)
     """
     if not x.is_terminal:
         raise InvariantError("reward requires a terminal object")
-    if len(x.states) != len(x.components) or any(s is None for s in x.states):
+    comp_ids = row_layout(x.components, library).owner
+    if x.states.shape[0] != comp_ids.shape[0]:
         raise InvariantError("reward requires states for all components")
-    pts = np.concatenate([np.asarray(s, dtype=np.float64) for s in x.states], axis=0)
+    pts = x.states
     anchors = params.anchors_array()
     d2 = ((pts[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
     energy = float(d2.min(axis=1).sum())
 
-    comp_ids = np.concatenate(
-        [np.full(len(s), i) for i, s in enumerate(x.states)]
-    )
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     cross = comp_ids[:, None] != comp_ids[None, :]
@@ -209,9 +208,10 @@ def generate_dataset(
     action index per step, then the layout jitter.  Everything that depends
     only on the composition is computed once per call: ``nodes`` maps an
     action-index prefix to its object (grown without prior states) and
-    either its legal actions or, at a leaf, its ground-truth layout.  Each
-    object owns its jittered states and one copy of them as its
-    self-conditioning.
+    either its legal actions or, at a leaf, its ground-truth layout as one
+    read-only (P, 2) matrix.  Each object's jitter is one (P, 2) draw, the
+    same values as one draw per component in component order; its jittered
+    states matrix serves as its self-conditioning too.
     """
     if n < 1:
         raise ConfigError("dataset size must be >= 1")
@@ -230,16 +230,14 @@ def generate_dataset(
             if child not in nodes:
                 y = grow(x, below[child[-1]], library, sched, rules.p_max)
                 if y.is_terminal:
-                    nodes[child] = (y, ground_truth_layout(y.components, library))
+                    layout = np.concatenate(ground_truth_layout(y.components, library))
+                    layout.flags.writeable = False
+                    nodes[child] = (y, layout)
                 else:
                     nodes[child] = (y, action_space(y, rules, library))
             prefix = child
             x, below = nodes[prefix]
-        states = tuple(s + rng.normal(0.0, sigma_data, size=s.shape) for s in below)
-        out.append(ComposedObject(
-            components=x.components,
-            states=states,
-            self_cond=tuple(s.copy() for s in states),
-            open_attachments=x.open_attachments,
-        ))
+        states = below + rng.normal(0.0, sigma_data, size=below.shape)
+        states.flags.writeable = False
+        out.append(ComposedObject(x.components, states, states, x.open_attachments))
     return out

@@ -40,6 +40,7 @@ from .stateflow import (
     feature_dim,
     featurize_points,
     interpolant,
+    plan_targets,
 )
 
 
@@ -183,15 +184,32 @@ class SampledTrajectory:
     log_reward: float
 
 
+def choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF that ``Generator.choice(len(probs), p=probs / probs.sum())``
+    draws from, built as numpy builds it, so that :func:`draw_from_cdf`
+    picks the index ``choice`` picks and advances the stream as far.  Raises
+    ``NumericalError`` unless it is finite."""
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    if not np.isfinite(cdf).all():
+        raise NumericalError(f"action probabilities give a non-finite CDF: {probs}")
+    return cdf
+
+
+def draw_from_cdf(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One index drawn from a :func:`choice_cdf`: one ``rng.random()``."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 @dataclass
 class PrefixNode:
     """What a frozen state flow fixes at one action prefix.
 
     ``child`` is the object right after the prefix's last transition, before
-    its segment is integrated; its arrays are read-only because trajectories
-    share it.  ``actions`` (the legal list at the next decision state) and,
-    at a leaf, ``log_reward`` are filled the first time a trajectory gets
-    there.
+    its segment is integrated; its matrices are read-only, as every object's
+    are, so trajectories share it.  ``actions`` (the legal list at the next
+    decision state) and, at a leaf, ``log_reward`` are filled the first time
+    a trajectory gets there.
     """
 
     child: ComposedObject
@@ -244,9 +262,10 @@ def sample_trajectory(
     tuple of chosen action indices so far.  ``node_memo`` maps a prefix to
     its :class:`PrefixNode`; it is valid for one frozen ``state_model``,
     ``global_seed``, ``rules``, ``library`` and ``sched``.  ``policy_table``
-    maps a prefix to this function's ``policy_distribution`` output; it is
-    valid only while the policy parameters and ``tape`` stay fixed.  Either
-    left out, a fresh dict serves this one trajectory.
+    maps a prefix to its decision's log-probabilities, log-prob node and
+    :func:`choice_cdf`; it is valid only while the policy parameters and
+    ``tape`` stay fixed.  Either left out, a fresh dict serves this one
+    trajectory.
     """
     memo = {} if node_memo is None else node_memo
     table = {} if policy_table is None else policy_table
@@ -269,14 +288,15 @@ def sample_trajectory(
         actions = node.actions
         out = table.get(prefix)
         if out is None:
-            out = table[prefix] = policy_distribution(policy, x, step, actions, tape=tape)
-        probs, logp, logp_node = out
+            probs, logp, logp_node = policy_distribution(policy, x, step, actions, tape=tape)
+            out = table[prefix] = (logp, logp_node, choice_cdf(probs))
+        logp, logp_node, cdf = out
         if forced_actions is not None:
             idx = actions.index(forced_actions[len(steps)])
         elif eps_random > 0 and rng.random() < eps_random:
             idx = int(rng.integers(len(actions)))
         else:
-            idx = int(rng.choice(len(actions), p=probs / probs.sum()))
+            idx = draw_from_cdf(cdf, rng)
         steps.append(TrajectoryStep(step_index=step, action=actions[idx], log_prob=float(logp[idx])))
         if tape is not None:
             nodes.append((logp_node, idx))
@@ -284,8 +304,6 @@ def sample_trajectory(
         node = memo.get(prefix)
         if node is None:
             child = transition(x, actions[idx], library, sched, global_seed, p_max=rules.p_max)
-            for arr in child.states + child.self_cond:
-                arr.flags.writeable = False
             node = memo[prefix] = PrefixNode(child)
         x = node.child
     if not x.is_terminal:
@@ -339,13 +357,14 @@ def ce_batch(
         obj = dataset[int(rng.integers(len(dataset)))]
         plan = decompose(obj, library, rng=rng, exclude_recorded=True, canonicalize=False)
         sample_seed = int(rng.integers(1 << 63))
+        targets = plan_targets(plan)
         x = EMPTY_OBJECT
         for i, step in enumerate(plan):
             t_step = i * sched.lam_steps
             x_t = x
             if x.components:
-                _, states = interpolant(x, plan, t_step, sched)
-                x_t = x.with_states(states, self_cond=[p.s1 for p in plan[:i]])
+                _, states = interpolant(x, targets, t_step, sched, library)
+                x_t = x.with_states(states, self_cond=targets[: len(states)])
             actions = action_space(x_t, rules, library)
             try:
                 idx = actions.index(step.action)

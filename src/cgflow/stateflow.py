@@ -29,6 +29,7 @@ from .compstate import (
     SynthonLibrary,
     decompose,
     replay_actions,
+    row_layout,
 )
 from .errors import InvariantError, NumericalError
 from .nn import Eval, ParamStore, Spans, Tape, adam_step, mlp_apply, register_mlp, stack_rows
@@ -65,15 +66,15 @@ def featurize_points(
     so a point's role is decodable locally rather than only through pooling.
     Those columns and the component one-hot depend only on the components,
     so they are built once per component tuple (``_static_features``); each
-    call copies them and fills in the states, self-conditioning and local
-    time.
+    call copies them and fills in the states, self-conditioning and per-row
+    local time in one block each.
     """
     static, slices = _static_features(x, sched, library)
+    if x.states.shape[0] != static.shape[0]:
+        raise InvariantError(f"states hold {x.states.shape[0]} rows, want {static.shape[0]} (1 per point)")
     feats = static.copy()
-    for (offset, m), comp, states, cond in zip(slices, x.components, x.states, x.self_cond):
-        _set_dynamic(
-            feats[offset : offset + m], states, cond, t_local_from_steps(t_step, comp.t_gen_step, sched)
-        )
+    t_local = [t_local_from_steps(t_step, comp.t_gen_step, sched) for comp in x.components]
+    _set_dynamic(feats, x.states, x.self_cond, np.asarray(t_local)[row_layout(x.components, library).owner])
     return feats, list(slices)
 
 
@@ -174,8 +175,8 @@ class StateFlowModel:
 class NoisySample:
     x_t: ComposedObject
     t_step: int
-    t_locals: tuple[float, ...]
-    targets: tuple[np.ndarray, ...]
+    t_locals: tuple[float, ...]  # one per generated component
+    targets: np.ndarray  # (P, 2) clean states of the generated components
 
 
 def interpolate(
@@ -203,23 +204,30 @@ def interpolate(
 
     k = sum(1 for i in range(len(plan)) if i * sched.lam_steps < t_step)
     x = replay_actions([s.action for s in plan[:k]], library, sched, sample_seed)
-    t_locals, states = interpolant(x, plan, t_step, sched)
+    targets = plan_targets(plan[:k])
+    t_locals, states = interpolant(x, targets, t_step, sched, library)
     if sigma > 0:
-        states = [mean + rng.normal(0.0, sigma, size=mean.shape) for mean in states]
-    targets = tuple(s.s1.copy() for s in plan[:k])
-    x_t = x.with_states(states, self_cond=[s.copy() for s in states]) if k else x
+        states = states + rng.normal(0.0, sigma, size=states.shape)
+    x_t = x.with_states(states, self_cond=states) if k else x
     return NoisySample(x_t=x_t, t_step=t_step, t_locals=tuple(t_locals), targets=targets)
 
 
+def plan_targets(steps: Sequence[PlanStep]) -> np.ndarray:
+    """The (P, 2) clean states of ``steps``, stacked in plan order."""
+    return np.concatenate([s.s1 for s in steps]) if steps else np.zeros((0, 2))
+
+
 def interpolant(
-    x: ComposedObject, plan: list[PlanStep], t_step: int, sched: Schedule
-) -> tuple[list[float], list[np.ndarray]]:
+    x: ComposedObject, targets: np.ndarray, t_step: int, sched: Schedule, library: SynthonLibrary
+) -> tuple[list[float], np.ndarray]:
     """Local times ``u`` and noise-free states ``u * S1 + (1 - u) * S0`` at
-    ``t_step`` of the components of ``x``, the object that the first
-    ``len(x.components)`` steps of ``plan`` build, with its prior states S0."""
+    ``t_step`` of the components of ``x``, the object that the first steps
+    of a plan build, with its prior states S0; S1 is the first rows of
+    ``targets`` (:func:`plan_targets` of the plan).  The states are one
+    (P, 2) matrix, each row at its component's ``u``."""
     t_locals = [t_local_from_steps(t_step, i * sched.lam_steps, sched) for i in range(len(x.components))]
-    states = [u * step.s1 + (1.0 - u) * s0 for u, step, s0 in zip(t_locals, plan, x.states)]
-    return t_locals, states
+    u = np.asarray(t_locals)[row_layout(x.components, library).owner][:, None]
+    return t_locals, u * targets[: len(u)] + (1.0 - u) * x.states
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +241,14 @@ def state_loss(model: StateFlowModel, tape: Tape, batch: list[NoisySample]) -> i
     predictions bitwise what it gets alone."""
     if not batch:
         raise InvariantError("state_loss on an empty batch")
-    live = [s for s in batch if s.targets]
+    live = [s for s in batch if len(s.targets)]
     if not live:
         raise InvariantError("state_loss batch has no generated components")
     feats, spans = stack_rows(
         [featurize_points(s.x_t, s.t_step, model.sched, model.library)[0] for s in live]
     )
     pred = model.forward(tape, feats, spans)
-    diff = tape.sub(pred, tape.const(np.concatenate([t for s in live for t in s.targets])))
+    diff = tape.sub(pred, tape.const(np.concatenate([s.targets for s in live])))
     return tape.scale(tape.sum_all(tape.mul(diff, diff)), 1.0 / len(batch))
 
 
@@ -281,14 +289,7 @@ def rollout_key(x: ComposedObject, from_step: int, to_step: int, snap: bool) -> 
     the whole input (components, interval, ``snap`` and the bytes of the
     states and self-conditioning).  :func:`integrate_packed` gives each
     object the bits it gets alone, so a packed result may fill the entry."""
-    return (
-        x.components,
-        from_step,
-        to_step,
-        snap,
-        b"".join(s.tobytes() for s in x.states),
-        b"".join(c.tobytes() for c in x.self_cond),
-    )
+    return (x.components, from_step, to_step, snap, x.states.tobytes(), x.self_cond.tobytes())
 
 
 def integrate_packed(
@@ -310,8 +311,8 @@ def integrate_packed(
     rows (an object with more rows goes alone; none is split).  A pack's
     points are stacked into one matrix, so a step is one model forward and
     one vectorised update; the static feature columns are built once per
-    pack, and the result is split back into per-component arrays once, at
-    the end.  Those arrays are read-only row views of the last step's
+    pack, and the result is split back into per-object matrices once, at
+    the end.  Those matrices are read-only row views of the last step's
     matrices, which a pack's objects share.  Each object comes out bitwise
     as it would alone.  An object without components, or a zero-length
     interval, returns the input object itself.
@@ -323,7 +324,7 @@ def integrate_packed(
     packs: list[list[int]] = []
     rows = 0
     for j in live:
-        m = sum(s.shape[0] for s in xs[j].states)
+        m = xs[j].states.shape[0]
         if not packs or rows + m > PACK_ROWS:
             packs.append([])
             rows = 0
@@ -347,7 +348,7 @@ def _integrate_pack(
 ) -> list[ComposedObject]:
     """:func:`integrate_packed` on one pack of objects with components;
     ``index`` holds their positions among the inputs, for error messages."""
-    statics, spans, counts, gens, ends = [], [], [], [], []
+    statics, spans, counts, gens, ends, last_ends = [], [], [], [], [], []
     offset = 0
     for x in live:
         static, slices = _static_features(x, sched, model.library)
@@ -358,9 +359,10 @@ def _integrate_pack(
             counts.append(m)
             gens.append(comp.t_gen_step)
             ends.append(t_end_step(comp.t_gen_step, sched))
+        last_ends.append(max(ends[-len(slices):]))
     feats = np.concatenate(statics)
-    state = np.concatenate([s for x in live for s in x.states])
-    cond = np.concatenate([c for x in live for c in x.self_cond])
+    state = np.concatenate([x.states for x in live])
+    cond = np.concatenate([x.self_cond for x in live])
     # per-step row tables, built once: local time, steps left in each window
     grid = range(from_step, to_step)
     t_local = np.repeat([[t_local_from_steps(s, g, sched) for g in gens] for s in grid], counts, axis=1)
@@ -380,7 +382,7 @@ def _integrate_pack(
         _set_dynamic(feats, state, cond, t_local[i])
         pred = np.asarray(model.predict_packed(feats, spans), dtype=np.float64)
         if not np.isfinite(pred).all():
-            j, c = _first_non_finite(pred, live)
+            j, c = _first_non_finite(pred, live, model.library)
             raise NumericalError(
                 f"state-flow prediction not finite at step {s}, component {c} of object {index[j]}"
             )
@@ -390,36 +392,33 @@ def _integrate_pack(
             state = np.where(remaining[i] <= 1, pred, state)
         cond = pred
     state.flags.writeable = cond.flags.writeable = False
-    snapped = iter([snap and end <= to_step for end in ends])
-    return list(_split(live, state, cond, snapped))
+    return list(_split(live, state, cond, [snap and end <= to_step for end in last_ends]))
 
 
-def _split(live: list[ComposedObject], state: np.ndarray, cond: np.ndarray, snapped):
+def _split(live: list[ComposedObject], state: np.ndarray, cond: np.ndarray, snapped: list[bool]):
     """The objects again, their states and self-conditioning now row views
-    of the stacked matrices.  A component snapped at the last step has equal
-    state and self-conditioning rows, so it gets one view for both."""
+    of the stacked matrices.  An object whose every window closed by the
+    last step was snapped whole: its state and self-conditioning rows are
+    equal, so it gets one view for both."""
     offset = 0
-    for x in live:
-        states, conds = [], []
-        for s in x.states:
-            m = s.shape[0]
-            conds.append(cond[offset : offset + m])
-            states.append(conds[-1] if next(snapped) else state[offset : offset + m])
-            offset += m
+    for x, whole in zip(live, snapped):
+        m = x.states.shape[0]
+        conds = cond[offset : offset + m]
         yield ComposedObject(
             components=x.components,
-            states=tuple(states),
-            self_cond=tuple(conds),
+            states=conds if whole else state[offset : offset + m],
+            self_cond=conds,
             open_attachments=x.open_attachments,
         )
+        offset += m
 
 
-def _first_non_finite(pred: np.ndarray, live: list[ComposedObject]) -> tuple[int, int]:
+def _first_non_finite(pred: np.ndarray, live: list[ComposedObject], library: SynthonLibrary) -> tuple[int, int]:
     """(object, component) owning the first stacked row with a non-finite value."""
     row = int(np.flatnonzero(~np.isfinite(pred).all(axis=1))[0])
-    owners = [(j, i) for j, x in enumerate(live) for i in range(len(x.states))]
-    ends = np.cumsum([s.shape[0] for x in live for s in x.states])
-    return owners[int(np.searchsorted(ends, row, side="right"))]
+    ends = np.cumsum([x.states.shape[0] for x in live])
+    j = int(np.searchsorted(ends, row, side="right"))
+    return j, int(row_layout(live[j].components, library).owner[row - (ends[j] - live[j].states.shape[0])])
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +447,11 @@ def _with_predicted_self_cond(
     """The batch with each sample's self-conditioning set to the model's
     clean-state estimates, from one tape-free forward over the stacked
     samples (bitwise each sample's own ``predict``)."""
-    blocks = [featurize_points(s.x_t, s.t_step, model.sched, model.library) for s in batch]
-    feats, spans = stack_rows([f for f, _ in blocks])
+    feats, spans = stack_rows([featurize_points(s.x_t, s.t_step, model.sched, model.library)[0] for s in batch])
     pred = model.predict_packed(feats, spans)
     return [
-        replace(s, x_t=s.x_t.with_states(s.x_t.states, self_cond=[pred[o + c : o + c + m] for c, m in slices]))
-        for s, (o, _), (_, slices) in zip(batch, spans, blocks)
+        replace(s, x_t=s.x_t.with_states(s.x_t.states, self_cond=pred[o : o + m]))
+        for s, (o, m) in zip(batch, spans)
     ]
 
 

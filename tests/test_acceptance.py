@@ -109,8 +109,7 @@ def test_02_boundary_conditions(library, sched, rules, report):
         empty = interpolate(plan, 0, 0.0, sched, library, sample_seed=1)
         assert len(empty.x_t.components) == 0
         full = interpolate(plan, sched.n_steps, 0.0, sched, library, sample_seed=1)
-        for got, want in zip(full.x_t.states, obj.states):
-            worst = max(worst, float(np.abs(got - want).max()))
+        worst = max(worst, float(np.abs(full.x_t.states - obj.states).max()))
     ok = worst <= 1e-12
     report(2, ok, f"t=0 empty; t=1 sigma=0 max err {worst:.2e} <= 1e-12 ({time.perf_counter()-t0:.2f}s)")
     assert ok
@@ -139,7 +138,7 @@ def test_03_integrator_coherence(library, rules, report):
             out = euler_rollout(
                 start, Oracle(layout), sched, 0, sched.n_steps, snap=(mode == "paper")
             )
-            err = max(float(np.abs(np.asarray(a) - b).max()) for a, b in zip(out.states, layout))
+            err = float(np.abs(out.states - np.concatenate(layout)).max())
             if mode == "paper":
                 worst_paper = max(worst_paper, err)
             else:
@@ -179,9 +178,8 @@ def test_04_determinism(ctx, library, sched, rules, reward_params, report):
         ta, tb = runs[0].trajectory, runs[1].trajectory
         if ta.reward != tb.reward:
             ok = False
-        for sa, sb in zip(ta.terminal_object.states, tb.terminal_object.states):
-            if not np.array_equal(sa, sb):
-                ok = False
+        if not np.array_equal(ta.terminal_object.states, tb.terminal_object.states):
+            ok = False
     report(4, ok, f"100 replayed sequences bitwise identical ({time.perf_counter()-t0:.2f}s)")
     assert ok
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cgflow import stateflow
-from cgflow.cli import RunConfig, _load_dataset, _write_jsonl, load_config, main, read_jsonl
-from cgflow.compstate import default_library_bytes, encode_states
+from cgflow import cli, stateflow
+from cgflow.cli import RunConfig, _composition, _load_dataset, _write_jsonl, iter_lines, load_config, main, read_jsonl
+from cgflow.compstate import decode_states, default_library_bytes, encode_states
 from cgflow.domain import generate_dataset
 from cgflow.errors import EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISSING_FILE, ArtifactError
 
@@ -340,7 +340,7 @@ def dataset_row(synthon_id="b2a", states=((0.0, 0.0), (1.0, 0.0))):
     return json.dumps({
         "components": [{"synthon_id": synthon_id, "parent_component": None, "parent_attachment": None,
                         "child_attachment": None, "t_gen_step": 0}],
-        "states": encode_states([np.array(states)]),
+        "states": encode_states(np.array(states)),
         "open_attachments": [[0, 0]],
     }) + "\n"
 
@@ -367,7 +367,7 @@ def chain_row(component=None, edit=None, n=3, states=None, open_attachments=()):
     states = states if states is not None else [[[0.0, 0.0], [1.0, 0.0]]] * n
     return json.dumps({
         "components": components,
-        "states": encode_states([np.array(s) for s in states]),
+        "states": encode_states(np.concatenate([np.array(s) for s in states])),
         "open_attachments": [list(o) for o in open_attachments],
     }) + "\n"
 
@@ -456,7 +456,7 @@ FAILURES = {
     "dataset-states-not-base64": (
         "train-stateflow", dataset_rows(chain_row_with_states_field("not base64!")), EXIT_INVARIANT, "invalid-artifact"),
     "dataset-states-partial-value": (
-        "train-stateflow", dataset_rows(chain_row_with_states_field(encode_states([np.zeros(2)])[:16])),
+        "train-stateflow", dataset_rows(chain_row_with_states_field(encode_states(np.zeros((1, 2)))[:16])),
         EXIT_INVARIANT, "invalid-artifact"),
     "dataset-states-nan": (
         "train-stateflow",
@@ -481,6 +481,35 @@ FAILURES = {
     "dataset-seen-composition-short-state": (
         "train-stateflow",
         dataset_rows(chain_row() + chain_row(states=SHORT_CHAIN_STATES)),
+        EXIT_INVARIANT, "invalid-artifact"),
+    # every field is what the replay records, in type too: 6.0 and false
+    # equal 6 and 0, but they are not the replay's JSON integers
+    "dataset-t_gen_step-float": (
+        "train-stateflow", dataset_rows(chain_row(1, {"t_gen_step": 6.0})), EXIT_INVARIANT, "invalid-artifact"),
+    "dataset-first-t_gen_step-false": (
+        "train-stateflow", dataset_rows(chain_row(0, {"t_gen_step": False})), EXIT_INVARIANT, "invalid-artifact"),
+    # a row whose composition equals a seen one's is still type-checked:
+    # false equals 0, but an index must be a JSON integer
+    "dataset-seen-composition-bool-index": (
+        "train-stateflow", dataset_rows(chain_row(1, {"parent_component": False})), EXIT_INVARIANT, "invalid-artifact"),
+    "dataset-deeply-nested-line": (
+        "train-stateflow", dataset_rows("[" * 100_000 + "]" * 100_000 + "\n"), EXIT_INVARIANT, "invalid-artifact"),
+    "dataset-integer-past-the-digit-limit": (
+        "train-stateflow", dataset_rows('{"a": 1' + "0" * 5000 + "}\n"), EXIT_INVARIANT, "invalid-artifact"),
+    "evaluate-action-index-infinite": (
+        "evaluate",
+        evaluate_inputs('{"actions": [{"action": {"type": "add", "parent_component": Infinity, "parent_attachment": 0, '
+                        '"synthon_id": "b2b", "child_attachment": 0}}], "reward": 1.0}\n', TABLE_ROW),
+        EXIT_INVARIANT, "invalid-artifact"),
+    "evaluate-reward-beyond-float": (
+        "evaluate",
+        evaluate_inputs('{"actions": [{"action": {"type": "first", "synthon_id": "b2a"}}], "reward": 1' + "0" * 400 + "}\n",
+                        TABLE_ROW),
+        EXIT_INVARIANT, "invalid-artifact"),
+    "evaluate-table-key-is-a-list": (
+        "evaluate", evaluate_inputs("", '{"key": ["F(b2a)"], "p_target": 1.0}\n'), EXIT_INVARIANT, "invalid-artifact"),
+    "evaluate-p_target-beyond-float": (
+        "evaluate", evaluate_inputs("", '{"key": "F(b2a)", "p_target": 1' + "0" * 400 + "}\n"),
         EXIT_INVARIANT, "invalid-artifact"),
     "evaluate-action-not-object": (
         "evaluate", evaluate_inputs('{"actions": [{"action": 3}]}\n', TABLE_ROW),
@@ -532,16 +561,18 @@ class TestDatasetLoad:
         assert len(loaded) == len(generated)
         for a, b in zip(loaded, generated):
             assert (a.components, a.open_attachments) == (b.components, b.open_attachments)
-            assert [s.tobytes() for s in a.states] == [s.tobytes() for s in b.states]
-            assert [s.tobytes() for s in a.self_cond] == [s.tobytes() for s in b.self_cond]
-        # rows of one composition share its components; every row owns its arrays
+            assert a.states.tobytes() == b.states.tobytes()
+            assert a.self_cond.tobytes() == b.self_cond.tobytes()
+        # rows of one composition share its components; each row holds one
+        # read-only matrix of its own, its states and its self-conditioning
         first = {}
         for x in loaded:
             assert first.setdefault(x.components, x.components) is x.components
         assert len(first) < len(loaded)
-        arrays = [a for x in loaded for a in x.states + x.self_cond]
-        assert len({id(a) for a in arrays}) == len(arrays)
-        assert all(a.flags.writeable for a in arrays)
+        assert all(x.self_cond is x.states for x in loaded)
+        assert all(x.states.shape == (x.total_points(library), 2) for x in loaded)
+        assert len({id(x.states) for x in loaded}) == len(loaded)
+        assert not any(x.states.flags.writeable for x in loaded)
 
     def test_memo_hit_is_shape_checked_and_named_by_its_row(self, tmp_path, capsys):
         # the states text stores no per-component shape, so a state one
@@ -584,14 +615,16 @@ class TestDatasetLoad:
         dataset_rows(chain_row(states=states))(tmp_path, doc)
         config = load_config(path)
         lead, x = _load_dataset(config, config.load_library())
-        assert [s.tobytes() for s in x.states] == [np.array(s).tobytes() for s in states]
-        assert [s.tobytes() for s in x.self_cond] == [np.array(s).tobytes() for s in states]
-        assert np.signbit(x.states[0][0, 0])
-        # one matrix per row for the states and one copy for the
-        # self-conditioning
-        assert len({id(s.base) for s in x.states}) == 1
-        assert not np.shares_memory(x.states[0].base, x.self_cond[0].base)
-        assert not np.shares_memory(x.states[0].base, lead.states[0].base)
+        written = np.concatenate([np.array(s) for s in states])
+        assert x.states.tobytes() == written.tobytes()
+        assert x.self_cond.tobytes() == written.tobytes()
+        assert np.signbit(x.states[0, 0])
+        # one read-only matrix per row: the states and the self-conditioning
+        # are that matrix, a write raises, and no other row shares it
+        assert x.self_cond is x.states and x.states.shape == (6, 2)
+        with pytest.raises(ValueError):
+            x.states[0, 0] = 1.0
+        assert not np.shares_memory(x.states, lead.states)
 
     def test_valid_rows_train(self, tmp_path):
         # the rows the failure cases edit are valid as they stand
@@ -613,14 +646,14 @@ class TestDatasetLoad:
 
 
 # valid chain states: 12 values
-CHAIN_STATES_TEXT = encode_states([np.array([[0.0, 0.0], [1.0, 0.0]])] * 3)
+CHAIN_STATES_TEXT = encode_states(np.array([[0.0, 0.0], [1.0, 0.0]] * 3))
 
 STATES_FIELDS = st.one_of(
     st.text(max_size=40),
     st.integers(0, len(CHAIN_STATES_TEXT)).map(lambda k: CHAIN_STATES_TEXT[:k]),
     # any count of any float64 values: wrong lengths, NaN and infinities,
     # and now and then exactly 12 finite values
-    st.lists(st.floats(), max_size=16).map(lambda v: encode_states([np.array(v, dtype=np.float64)])),
+    st.lists(st.floats(), max_size=16).map(lambda v: encode_states(np.array(v, dtype=np.float64))),
     # the old list form, with NaN and infinities (json writes them as literals)
     st.lists(st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=3), max_size=3),
     st.none(),
@@ -652,8 +685,7 @@ def test_states_field_fuzz_never_fails_internally(fuzz_dir, value):
         assert "object row 2" in str(exc)
         return
     assert isinstance(value, str)
-    values = np.concatenate([s.ravel() for s in data[1].states])
-    assert values.size == 12 and np.isfinite(values).all()
+    assert data[1].states.shape == (6, 2) and np.isfinite(data[1].states).all()
 
 
 class TestFailureCodes:
@@ -666,3 +698,230 @@ class TestFailureCodes:
         assert run([command, "--config", path]) == code
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (record["error"]["code"], record["error"]["kind"]) == (code, kind)
+
+
+# -- whole-row fuzzing: text edits of valid lines, anywhere in a line and
+#    around the "states": boundary that the dataset loader's text memo cuts at
+
+EDIT_CHARS = '"\\{}[]:, .-+/=0169eAZaztrunlfsE\n\té '
+
+
+@st.composite
+def edited_text(draw, text: str, cuts: list[int]):
+    """``text`` after one to three character edits (insert, delete or
+    replace), each placed anywhere or within a few characters of one of
+    ``cuts``."""
+    for _ in range(draw(st.integers(1, 3))):
+        if cuts and draw(st.booleans()):
+            at = draw(st.sampled_from(cuts)) + draw(st.integers(-12, 12))
+        else:
+            at = draw(st.integers(0, len(text)))
+        at = min(max(at, 0), len(text))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        char = draw(st.sampled_from(EDIT_CHARS))
+        if op == "insert":
+            text = text[:at] + char + text[at:]
+        elif op == "delete":
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at] + char + text[at + 1 :]
+    return text
+
+
+def boundaries(text: str, marker: str) -> list[int]:
+    """Offsets in ``text`` just before and just after each ``marker``."""
+    out, at = [], text.find(marker)
+    while at >= 0:
+        out += [at, at + len(marker)]
+        at = text.find(marker, at + 1)
+    return out
+
+
+def reference_load(path, config, library):
+    """The dataset as one ``json.loads`` per line reads it: a list of
+    (components, open attachments, states bytes), or the marker the
+    loader's error must name (the line, or the object row)."""
+    out = []
+    lines = iter_lines(path)  # the loader's line reader: a cut last line fails when it is reached
+    while True:
+        try:
+            lineno, line = next(lines)
+        except StopIteration:
+            break
+        except ArtifactError as exc:
+            return str(exc)
+        try:
+            doc = json.loads(line)
+        except (ValueError, RecursionError):
+            return f":{lineno}: "
+        if not isinstance(doc, dict):
+            return f":{lineno}: "
+        if doc.get("record") == "meta":
+            continue
+        try:
+            key = (
+                tuple((c["synthon_id"], c["parent_component"], c["parent_attachment"], c["child_attachment"],
+                       c["t_gen_step"]) for c in doc["components"]),
+                tuple(tuple(o) for o in doc["open_attachments"]),
+            )
+            components, opens, n_points = _composition(key, library, config)
+            states = decode_states(doc["states"], n_points)
+        except (KeyError, TypeError, ValueError, ArtifactError):
+            return f"object row {len(out) + 1}: "
+        out.append((components, opens, states.tobytes()))
+    return out or "dataset has no object rows"
+
+
+@pytest.fixture(scope="module")
+def dataset_fuzz(tmp_path_factory):
+    """A fuzz directory and its base dataset text: gen-data lines (each
+    composition more than once, so the text memo hits) and the hand-built
+    chain rows, whose keys are unsorted, so they always go through
+    ``json.loads``."""
+    path = tmp_path_factory.mktemp("dataset-fuzz")
+    doc = tiny_config_dict()
+    doc["dataset_size"] = 16
+    (path / "config.json").write_text(json.dumps(doc))
+    assert run(["gen-data", "--config", path / "config.json"]) == 0
+    lines = (path / "out" / "dataset.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    heads = [line[: line.rfind('"states": ')] for line in lines[1:]]
+    assert len(set(heads)) < len(heads)
+    text = lines[0] + "".join(lines[1:9]) + chain_row() + b3b_chain_row(3) + chain_row() + "".join(lines[9:])
+    return path, text
+
+
+def test_text_memo_parses_each_composition_once(dataset_fuzz, monkeypatch):
+    # gen-data lines of a seen composition skip json.loads; unsorted rows
+    # and the meta line are parsed every time
+    path, text = dataset_fuzz
+    (path / "out" / "dataset.jsonl").write_text(text, encoding="utf-8")
+    config = load_config(path / "config.json")
+    parsed = []
+    original = cli.parse_line
+    monkeypatch.setattr(cli, "parse_line", lambda p, n, line: parsed.append(n) or original(p, n, line))
+    data = _load_dataset(config, config.load_library())
+    canonical = [line for line in text.splitlines(keepends=True)[1:] if line.startswith('{"components": [{"child')]
+    compositions = {line[: line.rfind('"states": ')] for line in canonical}
+    assert len(data) == len(text.splitlines()) - 1
+    assert len(parsed) == 1 + len(compositions) + 3 < len(data)
+    assert [(x.components, x.open_attachments, x.states.tobytes()) for x in data] == reference_load(
+        path / "out" / "dataset.jsonl", config, config.load_library()
+    )
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_dataset_line_edits_load_as_json_loads_reads_them(dataset_fuzz, data):
+    # an edited dataset loads to exactly what a per-line json.loads gives,
+    # or fails as an invalid artifact naming the line or object row that
+    # the reference fails on; nothing else may escape (exit 1)
+    path, text = dataset_fuzz
+    edited = data.draw(edited_text(text, boundaries(text, '"states": ')))
+    target = path / "out" / "dataset.jsonl"
+    target.write_text(edited, encoding="utf-8")
+    config = load_config(path / "config.json")
+    want = reference_load(target, config, config.load_library())
+    try:
+        got = [(x.components, x.open_attachments, x.states.tobytes()) for x in _load_dataset(config, config.load_library())]
+    except ArtifactError as exc:
+        assert isinstance(want, str) and want in str(exc), (want, str(exc))
+        return
+    assert got == want
+
+
+SAMPLE_ROWS = (
+    '{"actions": [{"action": {"synthon_id": "b2a", "type": "first"}, "log_prob": -1.3, "step_index": 0}, '
+    '{"action": {"child_attachment": 0, "parent_attachment": 0, "parent_component": 0, "synthon_id": "b2b", '
+    '"type": "add"}, "log_prob": -0.7, "step_index": 6}], "log_z_used": 0.0, "reward": 0.25}\n'
+    '{"actions": [{"action": {"synthon_id": "b2a", "type": "first"}, "log_prob": -1.3, "step_index": 0}], '
+    '"log_z_used": 0.0, "reward": 0.5}\n'
+)
+TABLE_ROWS = (
+    '{"key": "F(b2a)", "length": 1, "p_model": 0.5, "p_target": 0.4, "p_uniform": 0.5, "reward": 0.5}\n'
+    '{"key": "F(b2a);A(0.0>b2b.0)", "length": 2, "p_model": 0.5, "p_target": 0.6, "p_uniform": 0.5, "reward": 0.25}\n'
+    '{"log_z_exact": -0.3, "n_sequences": 2, "record": "summary", "z_exact": 0.75}\n'
+)
+
+
+@pytest.fixture(scope="module")
+def evaluate_fuzz(tmp_path_factory):
+    path = tmp_path_factory.mktemp("evaluate-fuzz")
+    (path / "config.json").write_text(json.dumps(tiny_config_dict()))
+    (path / "out").mkdir()
+    (path / "out" / "samples.jsonl").write_text(META + SAMPLE_ROWS)
+    (path / "out" / "oracle.jsonl").write_text(META + TABLE_ROWS)
+    assert run(["evaluate", "--config", path / "config.json"]) == 0
+    return path
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), table=st.booleans())
+def test_evaluate_row_edits_never_fail_internally(evaluate_fuzz, capsys, data, table):
+    # an edited sample or oracle-table row either evaluates or exits 5;
+    # nothing may escape as exit 1
+    name, rows = ("oracle.jsonl", TABLE_ROWS) if table else ("samples.jsonl", SAMPLE_ROWS)
+    edited = data.draw(edited_text(rows, [i for key in ('"key": ', '"action": ', '"reward": ', '"p_target": ',
+                                                          '"parent_component": ', '"log_z_exact": ')
+                                          for i in boundaries(rows, key)]))
+    target = evaluate_fuzz / "out" / name
+    target.write_text(META + edited, encoding="utf-8")
+    try:
+        code = run(["evaluate", "--config", evaluate_fuzz / "config.json"])
+    finally:
+        target.write_text(META + rows, encoding="utf-8")
+    err = capsys.readouterr().err
+    assert code in (0, EXIT_INVARIANT), err
+
+
+@pytest.mark.parametrize("second_key", ['"\\"states"', '"st\\u0061tes"'], ids=["quoted-key", "escaped-key"])
+def test_text_memo_reads_the_states_key_json_loads_reads(tmp_path, second_key):
+    # a row whose last '"states": ' is not the key json.loads reads as
+    # "states" must not seed the memo: the next row with that head takes
+    # its states from the key json.loads reads
+    doc = tiny_config_dict()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    a = encode_states(np.arange(12.0).reshape(6, 2))
+    b = encode_states(np.arange(12.0).reshape(6, 2) + 1.0)
+    rows = {"components": CHAIN, "open_attachments": []}
+    if second_key == '"\\"states"':
+        head = json.dumps(rows)[:-1] + f', "states": "{a}", {second_key}: '
+    else:
+        head = json.dumps(rows)[:-1] + f', {second_key}: "{a}", "states": '
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "dataset.jsonl").write_text(META + head + f'"{a}"}}\n' + head + f'"{b}"}}\n')
+    config = load_config(path)
+    got = [x.states.tobytes() for x in _load_dataset(config, config.load_library())]
+    want = [x[2] for x in reference_load(tmp_path / "out" / "dataset.jsonl", config, config.load_library())]
+    assert got == want
+    assert got[1] == (np.arange(12.0).reshape(6, 2) + (0.0 if second_key == '"\\"states"' else 1.0)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda t: t.replace("/", "\\/", 1), lambda t: "\\u0041" + t[1:], lambda t: t[:4] + "\t" + t[4:],
+     lambda t: t[:4] + "\\" + t[4:], lambda t: t + " "],
+    ids=["escaped-solidus", "unicode-escape", "raw-tab", "backslash", "trailing-space"],
+)
+def test_memo_hit_with_an_unusual_states_token_loads_as_json_loads_reads_it(dataset_fuzz, edit):
+    # a repeated gen-data composition whose states string is spelled with
+    # escapes or control characters is parsed, not cut out of the line
+    path, text = dataset_fuzz
+    lines = text.splitlines(keepends=True)
+    heads = [line[: line.rfind('"states": ') + 10] for line in lines]
+    # a gen-data line whose head an earlier gen-data line stored: a memo hit
+    j = next(i for i in range(2, len(lines)) if lines[i].endswith('"}\n') and heads[i] in heads[1:i])
+    tail = lines[j][len(heads[j]) :]
+    states = tail[1:-3]
+    assert "/" in states
+    lines[j] = heads[j] + '"' + edit(states) + '"}\n'
+    target = path / "out" / "dataset.jsonl"
+    target.write_text("".join(lines), encoding="utf-8")
+    config = load_config(path / "config.json")
+    want = reference_load(target, config, config.load_library())
+    try:
+        got = [(x.components, x.open_attachments, x.states.tobytes()) for x in _load_dataset(config, config.load_library())]
+    except ArtifactError as exc:
+        assert isinstance(want, str) and want in str(exc), (want, str(exc))
+        return
+    assert got == want

@@ -12,8 +12,10 @@ from cgflow.compstate import (
     ComposedObject,
     EMPTY_OBJECT,
     FirstSynthon,
+    NO_STATES,
     Synthon,
     SynthonLibrary,
+    component_states,
     decode_states,
     decompose,
     default_library_bytes,
@@ -76,15 +78,15 @@ class TestTransition:
         x = transition(EMPTY_OBJECT, FirstSynthon("b2a"), library, sched, global_seed=1)
         assert len(x.components) == 1
         assert len(x.open_attachments) == 1
-        assert x.states[0].shape == (2, 2)
+        assert x.states.shape == x.self_cond.shape == (2, 2)
         assert not x.is_terminal
 
     def test_seeded_determinism(self, library, sched):
         a = transition(EMPTY_OBJECT, FirstSynthon("b3a"), library, sched, global_seed=9)
         b = transition(EMPTY_OBJECT, FirstSynthon("b3a"), library, sched, global_seed=9)
-        assert np.array_equal(a.states[0], b.states[0])
+        assert np.array_equal(a.states, b.states)
         c = transition(EMPTY_OBJECT, FirstSynthon("b3a"), library, sched, global_seed=10)
-        assert not np.array_equal(a.states[0], c.states[0])
+        assert not np.array_equal(a.states, c.states)
 
     def test_brick_on_last_attachment_terminates(self, library, sched):
         x = build(
@@ -127,7 +129,22 @@ class TestTransition:
         # (global_seed, points before the append)
         x1 = build([FirstSynthon("b2a"), AddSynthon(0, 0, "l_ab", 0)], library, sched, seed=5)
         expected = initial_state_sample(5, 2, 2)
-        assert np.array_equal(x1.states[1], expected)
+        assert np.array_equal(component_states(x1, 1, library), expected)
+        assert np.array_equal(component_states(x1, 1, library, self_cond=True), expected)
+        assert x1.states.tobytes() == np.concatenate([initial_state_sample(5, 0, 2), expected]).tobytes()
+
+
+    def test_appends_rows_to_both_matrices(self, library, sched):
+        x = build([FirstSynthon("b2a")], library, sched)
+        x = x.with_states(np.full((2, 2), 3.0), self_cond=np.full((2, 2), 4.0))
+        y = transition(x, AddSynthon(0, 0, "l_ab", 0), library, sched, global_seed=5)
+        prior = initial_state_sample(5, 2, 2)
+        assert y.states.tobytes() == np.concatenate([np.full((2, 2), 3.0), prior]).tobytes()
+        assert y.self_cond.tobytes() == np.concatenate([np.full((2, 2), 4.0), prior]).tobytes()
+        assert not y.states.flags.writeable and not y.self_cond.flags.writeable
+        # a replayed prefix holds one matrix for both
+        z = build([FirstSynthon("b2a"), AddSynthon(0, 0, "l_ab", 0)], library, sched)
+        assert z.self_cond is z.states
 
 
 class TestGrow:
@@ -144,7 +161,7 @@ class TestGrow:
                     child = grow(bare, action, library, sched, rules.p_max)
                     assert child.components == full.components
                     assert child.open_attachments == full.open_attachments
-                    assert child.states == () and child.self_cond == ()
+                    assert child.states is NO_STATES and child.self_cond is NO_STATES
                     seen += 1
                     if not full.is_terminal:
                         nxt.append((full, child))
@@ -215,7 +232,7 @@ class TestGroundTruthLayout:
 class TestDecompose:
     def test_single_component(self, library, sched):
         x = build([FirstSynthon("b2a")], library, sched)
-        x = x.with_states([np.zeros((2, 2))])
+        x = x.with_states(np.zeros((2, 2)))
         plan = decompose(x, library)
         assert len(plan) == 1
         assert plan[0].action == FirstSynthon("b2a")
@@ -232,7 +249,7 @@ class TestDecompose:
     def test_rerooted_plan_rebuilds_same_bonds(self, library, sched):
         actions = [FirstSynthon("b2a"), AddSynthon(0, 0, "l_ab", 0), AddSynthon(1, 1, "b2b", 0)]
         x = build(actions, library, sched)
-        x = x.with_states(ground_truth_layout(x.components, library))
+        x = x.with_states(np.concatenate(ground_truth_layout(x.components, library)))
         plan = plan_for_order(x, (2, 1, 0), library)
         assert plan[0].action == FirstSynthon("b2b")
         rebuilt = replay_actions([s.action for s in plan], library, sched, 0)
@@ -242,7 +259,7 @@ class TestDecompose:
     def test_rerooted_coordinates_are_canonical(self, library, sched):
         actions = [FirstSynthon("b2a"), AddSynthon(0, 0, "l_ab", 0), AddSynthon(1, 1, "b2b", 0)]
         x = build(actions, library, sched)
-        x = x.with_states(ground_truth_layout(x.components, library))
+        x = x.with_states(np.concatenate(ground_truth_layout(x.components, library)))
         plan = plan_for_order(x, (2, 1, 0), library)
         rebuilt = replay_actions([s.action for s in plan], library, sched, 0)
         relayout = ground_truth_layout(rebuilt.components, library)
@@ -252,7 +269,7 @@ class TestDecompose:
     def test_order_frequencies_uniform(self, library, sched, rng):
         actions = [FirstSynthon("b2a"), AddSynthon(0, 0, "l_ab", 0), AddSynthon(1, 1, "b2b", 0)]
         x = build(actions, library, sched)
-        x = x.with_states(ground_truth_layout(x.components, library))
+        x = x.with_states(np.concatenate(ground_truth_layout(x.components, library)))
         first = {"b2a": 0, "b2b": 0}
         n = 10_000
         for _ in range(n):
@@ -265,7 +282,7 @@ class TestDecompose:
     def test_exclude_recorded(self, library, sched, rng):
         actions = [FirstSynthon("b2a"), AddSynthon(0, 0, "b2b", 0)]
         x = build(actions, library, sched)
-        x = x.with_states(ground_truth_layout(x.components, library))
+        x = x.with_states(np.concatenate(ground_truth_layout(x.components, library)))
         for _ in range(20):
             plan = decompose(x, library, rng=rng, exclude_recorded=True)
             assert plan[0].action.synthon_id == "b2b"
@@ -316,7 +333,7 @@ class TestDecomposeMemo:
 
     def test_memo_keeps_every_order_and_exclusion_still_filters(self, library, sched, rng):
         x = build([FirstSynthon("b2a"), AddSynthon(0, 0, "l_ab", 0), AddSynthon(1, 1, "b2b", 0)], library, sched)
-        x = x.with_states(ground_truth_layout(x.components, library))
+        x = x.with_states(np.concatenate(ground_truth_layout(x.components, library)))
         first = {decompose(x, library, rng=rng)[0].action.synthon_id for _ in range(50)}
         assert first == {"b2a", "b2b"}
         orders = library.decompositions[x.components].orders
@@ -327,7 +344,7 @@ class TestDecomposeMemo:
 
     def test_memo_arrays_are_read_only_and_plans_are_not(self, library, sched, rng):
         x = build([FirstSynthon("b3a"), AddSynthon(0, 0, "l_ab", 0), AddSynthon(1, 1, "b2b", 0)], library, sched)
-        x = x.with_states(ground_truth_layout(x.components, library))
+        x = x.with_states(np.concatenate(ground_truth_layout(x.components, library)))
         plan = decompose(x, library, rng=rng)
         for rot, shift in library.decompositions[x.components].poses:
             for arr in (rot, shift):
@@ -354,7 +371,7 @@ class TestDecomposeMemo:
         for child in (0, 1):
             actions = [FirstSynthon("b2b"), AddSynthon(0, 0, "l_aa", child), AddSynthon(1, 1 - child, "b2b", 0)]
             x = build(actions, library, sched)
-            objects.append(x.with_states(ground_truth_layout(x.components, library)))
+            objects.append(x.with_states(np.concatenate(ground_truth_layout(x.components, library))))
         assert [c.synthon_id for c in objects[0].components] == [c.synthon_id for c in objects[1].components]
         for seed in range(6):
             for x in objects:
@@ -381,7 +398,7 @@ class TestDecomposeMemo:
         gauged = SynthonLibrary(synthons=tuple(moved if s.id == "l_ab" else s for s in base.synthons))
         actions = [FirstSynthon("b2a"), AddSynthon(0, 0, "l_ab", 0), AddSynthon(1, 1, "b2b", 0)]
         x = build(actions, base, sched)
-        x = x.with_states(ground_truth_layout(x.components, base))
+        x = x.with_states(np.concatenate(ground_truth_layout(x.components, base)))
         twin = default_library()
         for library in (base, gauged, twin):
             for seed in range(4):
@@ -396,6 +413,36 @@ class TestDecomposeMemo:
         assert not np.array_equal(base_rot, gauged_rot)
 
 
+class TestStateMatrix:
+    def test_component_views_tile_the_matrix(self, library, sched, rules):
+        data = generate_dataset(50, 3, library, rules, sched)
+        for x in data:
+            views = [component_states(x, i, library) for i in range(len(x.components))]
+            assert [len(v) for v in views] == [library.get(c.synthon_id).n_points for c in x.components]
+            assert np.concatenate(views).tobytes() == x.states.tobytes()
+            assert all(np.shares_memory(v, x.states) and not v.flags.writeable for v in views)
+        layout = library.row_layouts[x.components]
+        assert layout.offsets == tuple(np.cumsum([0] + [len(v) for v in views]).tolist())
+        assert layout.owner.tolist() == [i for i, v in enumerate(views) for _ in range(len(v))]
+        assert not layout.owner.flags.writeable
+        assert default_library().row_layouts == {}
+
+    def test_objects_hold_read_only_copies(self, library, sched):
+        x = build([FirstSynthon("b2a"), AddSynthon(0, 0, "b2b", 0)], library, sched)
+        assert not x.states.flags.writeable and not x.self_cond.flags.writeable
+        rows = np.arange(8.0).reshape(4, 2)
+        y = x.with_states(rows)
+        rows[0, 0] = 9.0
+        assert y.states[0, 0] == 0.0 and y.self_cond is x.self_cond
+        with pytest.raises(ValueError):
+            y.states[0, 0] = 1.0
+        z = x.with_states(rows, self_cond=rows)
+        assert z.self_cond is z.states
+        for bad in (np.zeros((2, 2, 2)), np.zeros(4), np.zeros((4, 3))):
+            with pytest.raises(InvariantError, match="one \\(P, 2\\) matrix"):
+                x.with_states(bad)
+
+
 class TestReplayDeterminism:
     def test_hundred_random_sequences_bitwise_identical(self, library, sched, rules, rng):
         for trial in range(100):
@@ -408,14 +455,14 @@ class TestReplayDeterminism:
                 x = transition(x, action, library, sched, global_seed=77, p_max=rules.p_max)
             y = replay_actions(actions, library, sched, global_seed=77, p_max=rules.p_max)
             assert recorded_actions(y) == actions
-            for sa, sb in zip(x.states, y.states):
-                assert np.array_equal(sa, sb)
+            assert x.states.tobytes() == y.states.tobytes()
+            assert x.self_cond.tobytes() == y.self_cond.tobytes()
 
     def test_point_count_bookkeeping(self, library, sched, rules, rng):
         data = generate_dataset(50, 3, library, rules, sched)
         for x in data:
             total = sum(library.get(c.synthon_id).n_points for c in x.components)
-            assert sum(s.shape[0] for s in x.states) == total
+            assert x.states.shape == (total, 2)
             n_linkers = sum(1 for c in x.components if library.get(c.synthon_id).kind == "linker")
             n_bricks = len(x.components) - n_linkers
             bonds = len(x.components) - 1
@@ -433,29 +480,29 @@ EDGE_STATES = [
 
 class TestStateEncoding:
     def test_round_trip_is_bitwise(self):
-        states, conds = decode_states(encode_states(EDGE_STATES), [2, 2, 3])
-        for got in (states, conds):
-            assert [s.tobytes() for s in got] == [s.tobytes() for s in EDGE_STATES]
-        assert np.signbit(states[0][0, 0]) and not np.signbit(states[0][0, 1])
-        assert states[0][1, 0] == 5e-324
+        states = decode_states(encode_states(np.concatenate(EDGE_STATES)), 7)
+        assert states.tobytes() == np.concatenate(EDGE_STATES).tobytes()
+        assert np.signbit(states[0, 0]) and not np.signbit(states[0, 1])
+        assert states[1, 0] == 5e-324
 
     def test_text_is_base64_of_little_endian_rows_in_component_order(self):
-        text = encode_states(EDGE_STATES)
+        text = encode_states(np.concatenate(EDGE_STATES))
         want = np.concatenate(EDGE_STATES).astype("<f8").tobytes()
         assert base64.b64decode(text, validate=True) == want
         # views, non-contiguous ones too, encode their values
-        assert encode_states([EDGE_STATES[2][::2]]) == encode_states([EDGE_STATES[2][[0, 2]].copy()])
-        assert encode_states([]) == ""
+        assert encode_states(EDGE_STATES[2][::2]) == encode_states(EDGE_STATES[2][[0, 2]].copy())
+        assert encode_states(NO_STATES) == ""
 
-    def test_decoded_arrays_are_views_of_one_writable_matrix_and_one_copy(self):
-        states, conds = decode_states(encode_states(EDGE_STATES), [2, 2, 3])
-        assert [s.shape for s in states] == [(2, 2), (2, 2), (3, 2)]
-        assert all(s.dtype == np.float64 and s.flags.writeable for s in states + conds)
-        assert len({id(s.base) for s in states}) == 1 and len({id(c.base) for c in conds}) == 1
-        assert states[0].base.size == 14
-        assert not np.shares_memory(states[0].base, conds[0].base)
-        states[1][0, 0] = 9.0
-        assert conds[1][0, 0] != 9.0
+    def test_decoded_states_are_one_read_only_matrix(self):
+        text = encode_states(np.concatenate(EDGE_STATES))
+        states = decode_states(text, 7)
+        assert states.shape == (7, 2) and states.dtype == np.float64
+        # one array over the decoded bytes: no copy, and a write raises
+        assert isinstance(states.base, np.ndarray) and isinstance(states.base.base, bytes)
+        assert not states.flags.writeable
+        with pytest.raises(ValueError):
+            states[0, 0] = 9.0
+        assert decode_states(text, 7).tobytes() == states.tobytes()
 
     def test_to_dict_writes_the_encoded_states(self, library, sched):
         x = generate_dataset(3, 4, library, RuleSet(), sched)[2]
@@ -470,14 +517,14 @@ class TestStateEncoding:
             ("AAAA*AAA", "not base64"),
             ("AAAAAAAAAAA", "not base64"),  # padding missing
             ("é", "not base64"),
-            (encode_states([np.zeros(2)])[:16], "12 bytes, not a whole number"),
-            (encode_states([np.zeros(3)]), "3 values, want 4"),
-            (encode_states([np.array([0.0, np.nan, 0.0, 0.0])]), "non-finite"),
-            (encode_states([np.array([0.0, 0.0, -np.inf, 0.0])]), "non-finite"),
+            (encode_states(np.zeros((1, 2)))[:16], "12 bytes, not a whole number"),
+            (encode_states(np.zeros(3)), "3 values, want 4"),
+            (encode_states(np.array([[0.0, np.nan], [0.0, 0.0]])), "non-finite"),
+            (encode_states(np.array([[0.0, 0.0], [-np.inf, 0.0]])), "non-finite"),
         ],
         ids=["list-form", "null", "bad-character", "unpadded", "not-ascii", "partial-value", "short",
              "nan", "infinity"],
     )
     def test_malformed_text_is_an_artifact_error(self, text, message):
         with pytest.raises(ArtifactError, match=message):
-            decode_states(text, [2])
+            decode_states(text, 2)

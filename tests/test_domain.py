@@ -96,7 +96,7 @@ def reward(x, params, library):
 class TestReward:
     def test_perfect_match_gives_one(self, library, sched):
         x = replay_actions([FirstSynthon("b2a"), AddSynthon(0, 0, "b2b", 0)], library, sched, 0)
-        x = x.with_states(ground_truth_layout(x.components, library))
+        x = x.with_states(np.concatenate(ground_truth_layout(x.components, library)))
         params = RewardParams(
             anchors=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)),
             r_min=0.6,
@@ -107,7 +107,7 @@ class TestReward:
     def test_single_offset_point(self, library, sched):
         # one point at distance 2 from its nearest anchor: E=4, T=4 -> 1/e
         x = replay_actions([FirstSynthon("b2a"), AddSynthon(0, 0, "b2b", 0)], library, sched, 0)
-        x = x.with_states([np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[2.0, 0.0], [3.0, 2.0]])])
+        x = x.with_states([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 2.0]])
         params = RewardParams(
             anchors=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)),
             r_min=0.0001,
@@ -117,7 +117,7 @@ class TestReward:
 
     def test_beta_exponentiation(self, library, sched, reward_params):
         x = replay_actions([FirstSynthon("b3a"), AddSynthon(0, 0, "b3b", 0)], library, sched, 0)
-        x = x.with_states(ground_truth_layout(x.components, library))
+        x = x.with_states(np.concatenate(ground_truth_layout(x.components, library)))
         r1 = reward(x, reward_params, library)
         params2 = RewardParams(
             anchors=reward_params.anchors,
@@ -130,7 +130,7 @@ class TestReward:
     def test_clash_term_counts_cross_component_pairs(self, library, sched):
         x = replay_actions([FirstSynthon("b2a"), AddSynthon(0, 0, "b2b", 0)], library, sched, 0)
         # overlap two points across components at distance 0.1
-        x = x.with_states([np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[1.1, 0.0], [2.0, 0.0]])])
+        x = x.with_states([[0.0, 0.0], [1.0, 0.0], [1.1, 0.0], [2.0, 0.0]])
         anchors = ((0.0, 0.0), (1.0, 0.0), (1.1, 0.0), (2.0, 0.0))
         params = RewardParams(anchors=anchors, r_min=0.6, temperature=1.0)
         # anchor energy zero; clash energy (0.6 - 0.1)^2 between (1,0) and (1.1,0)
@@ -146,13 +146,13 @@ class TestReward:
             0,
         )
         layout = ground_truth_layout(x.components, library)
-        x = x.with_states(layout)
+        x = x.with_states(np.concatenate(layout))
         r1 = reward(x, reward_params, library)
         from cgflow.compstate import plan_for_order, replay_actions as replay
 
         plan = plan_for_order(x, (2, 1, 0), library, canonicalize=False)
         y = replay([s.action for s in plan], library, sched, 0)
-        y = y.with_states([s.s1 for s in plan])
+        y = y.with_states(np.concatenate([s.s1 for s in plan]))
         assert reward(y, reward_params, library) == pytest.approx(r1, rel=1e-12)
 
     def test_nonterminal_rejected(self, library, sched, reward_params):
@@ -162,7 +162,7 @@ class TestReward:
 
     def test_strictly_positive(self, library, sched, reward_params, rng):
         x = replay_actions([FirstSynthon("b2a"), AddSynthon(0, 0, "b2b", 0)], library, sched, 0)
-        x = x.with_states([rng.normal(size=(2, 2)) * 3, rng.normal(size=(2, 2)) * 3])
+        x = x.with_states(rng.normal(size=(4, 2)) * 3)
         assert reward(x, reward_params, library) > 0
 
 
@@ -172,8 +172,7 @@ class TestGenerateDataset:
         b = generate_dataset(5, 31, library, rules, sched)
         for xa, xb in zip(a, b):
             assert xa.components == xb.components
-            for sa, sb in zip(xa.states, xb.states):
-                assert np.array_equal(sa, sb)
+            assert xa.states.tobytes() == xb.states.tobytes()
 
     def test_grammar_bounds(self, library, rules, sched):
         data = generate_dataset(500, 7, library, rules, sched)
@@ -209,22 +208,22 @@ class TestGenerateDataset:
                     actions = action_space(ref, rules, library)
                     action = actions[int(rng.integers(len(actions)))]
                     ref = transition(ref, action, library, sched, i, p_max=rules.p_max)
+                # the reference draws each component's jitter on its own
                 layout = ground_truth_layout(ref.components, library)
-                states = [s + rng.normal(0.0, 0.05, size=s.shape) for s in layout]
+                states = np.concatenate([s + rng.normal(0.0, 0.05, size=s.shape) for s in layout])
                 assert x.to_dict() == ref.with_states(states).to_dict()
-                assert [s.tobytes() for s in x.states] == [s.tobytes() for s in states]
-                assert [s.tobytes() for s in x.self_cond] == [s.tobytes() for s in states]
+                assert x.states.tobytes() == states.tobytes()
+                assert x.self_cond.tobytes() == states.tobytes()
             assert len({x.components for x in data}) < n  # leaves repeat
-            # every object owns its arrays: none is shared with another
-            # object, with its own self-conditioning or with the memoised
-            # layout
-            arrays = [a for x in data for a in x.states + x.self_cond]
-            assert all(a.base is None for a in arrays)
-            assert len({id(a) for a in arrays}) == len(arrays)
+            # one read-only matrix per object, its states and its
+            # self-conditioning: it owns its data, so it shares nothing with
+            # another object or with the memoised layout
+            assert all(x.self_cond is x.states for x in data)
+            assert all(x.states.base is None and not x.states.flags.writeable for x in data)
+            assert len({id(x.states) for x in data}) == len(data)
 
     def test_states_near_layout(self, library, rules, sched):
         data = generate_dataset(20, 13, library, rules, sched)
         for x in data:
-            layout = ground_truth_layout(x.components, library)
-            for s, l in zip(x.states, layout):
-                assert np.abs(s - l).max() < 0.05 * 6
+            layout = np.concatenate(ground_truth_layout(x.components, library))
+            assert np.abs(x.states - layout).max() < 0.05 * 6

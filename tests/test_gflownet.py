@@ -14,6 +14,7 @@ from cgflow.compstate import (
     transition,
 )
 from cgflow.domain import RuleSet, action_space, generate_dataset
+from cgflow.errors import NumericalError
 from cgflow.gflownet import (
     PolicyHyper,
     PolicyModel,
@@ -22,6 +23,8 @@ from cgflow.gflownet import (
     action_features,
     ce_batch,
     ce_loss_node,
+    choice_cdf,
+    draw_from_cdf,
     next_decision_step,
     policy_distribution,
     sample_trajectory,
@@ -93,7 +96,7 @@ def replayed_ce_batch(dataset, rules, library, sched, rng, batch):
             t_step = i * sched.lam_steps
             x_t = interpolate(plan, t_step, 0.0, sched, library, sample_seed=sample_seed).x_t
             if x_t.components:
-                x_t = x_t.with_states(x_t.states, self_cond=[p.s1.copy() for p in plan[: len(x_t.components)]])
+                x_t = x_t.with_states(x_t.states, self_cond=np.concatenate([p.s1 for p in plan[: len(x_t.components)]]))
             actions = action_space(x_t, rules, library)
             items.append((x_t, t_step, actions, actions.index(plan[i].action)))
     return items
@@ -234,8 +237,7 @@ class TestSampleTrajectory:
         b = sample_trajectory(policy, state_model, sched, rules, library, reward_params, 9, 4)
         assert traj_key(a.trajectory) == traj_key(b.trajectory)
         assert a.trajectory.reward == b.trajectory.reward
-        for sa, sb in zip(a.trajectory.terminal_object.states, b.trajectory.terminal_object.states):
-            assert np.array_equal(sa, sb)
+        assert a.trajectory.terminal_object.states.tobytes() == b.trajectory.terminal_object.states.tobytes()
 
     def test_recorded_logprob_is_policy_not_mixture(self, models, library, sched, rules, reward_params):
         # with eps=1 every pick is random, but the recorded log-probs must
@@ -269,6 +271,29 @@ class TestSampleTrajectory:
         assert replayed.trajectory.reward == out.trajectory.reward
 
 
+class TestCdfDraw:
+    def test_matches_generator_choice(self):
+        # the sampler's draw reproduces Generator.choice(p=...) from numpy's
+        # own CDF construction; a numpy release that changes either one
+        # fails here, not in a byte-compare of samples.jsonl
+        cases = np.random.default_rng(21)
+        for case in range(3000):
+            k = int(cases.integers(1, 30))
+            logits = cases.normal(size=k) * cases.choice([0.1, 1.0, 10.0, 60.0])
+            probs = np.exp(logits - logits.max())
+            cdf = choice_cdf(probs)
+            ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
+            for _ in range(3):
+                assert draw_from_cdf(cdf, ours) == int(theirs.choice(k, p=probs / probs.sum()))
+            assert ours.integers(1 << 62) == theirs.integers(1 << 62)
+
+    def test_non_finite_cdf_is_a_numerical_error(self):
+        for probs in (np.array([0.5, np.nan]), np.array([np.inf, 1.0]), np.zeros(3)):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                with pytest.raises(NumericalError, match="non-finite CDF"):
+                    choice_cdf(probs)
+
+
 class TestRolloutReuse:
     def test_cache_gives_identical_trajectories_and_gradients(
         self, models, library, sched, rules, reward_params
@@ -293,8 +318,7 @@ class TestRolloutReuse:
             assert [s.step_index for s in a.actions] == [s.step_index for s in b.actions]
             assert [s.log_prob for s in a.actions] == [s.log_prob for s in b.actions]
             assert plain.log_reward == cached.log_reward
-            for sa, sb in zip(a.terminal_object.states, b.terminal_object.states):
-                assert sa.tobytes() == sb.tobytes()
+            assert a.terminal_object.states.tobytes() == b.terminal_object.states.tobytes()
             assert g_plain.keys() == g_cached.keys()
             for name in g_plain:
                 assert np.array_equal(g_plain[name], g_cached[name])
@@ -343,8 +367,7 @@ class TestRolloutReuse:
                 if step in action_steps(sched) and not x.is_terminal and len(x.components) < rules.max_len:
                     x = transition(x, next(forced), library, sched, 9, p_max=rules.p_max)
                 x = euler_rollout(x, state_model, sched, step, step + 1)
-            for got, want in zip(out.terminal_object.states, x.states):
-                assert got.tobytes() == want.tobytes()
+            assert out.terminal_object.states.tobytes() == x.states.tobytes()
 
     def test_next_decision_step(self, library, sched, rules):
         firing = action_steps(sched)
@@ -414,9 +437,8 @@ class TestPrefixMemo:
             assert [s.log_prob for s in ta.actions] == [s.log_prob for s in tb.actions]
             assert a.log_reward == b.log_reward
             assert ta.reward == tb.reward
-            assert len(ta.terminal_object.states) == len(tb.terminal_object.states)
-            for sa, sb in zip(ta.terminal_object.states, tb.terminal_object.states):
-                assert sa.tobytes() == sb.tobytes()
+            assert ta.terminal_object.states.shape == tb.terminal_object.states.shape
+            assert ta.terminal_object.states.tobytes() == tb.terminal_object.states.tobytes()
 
         for j in range(32):
             plain = draw(j)
@@ -437,10 +459,10 @@ class TestPrefixMemo:
             )
         assert out.trajectory.terminal_object.is_terminal
         assert all(isinstance(node, PrefixNode) for node in memo.values())
-        arrays = [a for node in memo.values() for a in node.child.states + node.child.self_cond]
+        arrays = [a for node in memo.values() for a in (node.child.states, node.child.self_cond)]
         assert arrays and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
-            memo[(0,)].child.states[0][0, 0] = 1.0
+            memo[(0,)].child.states[0, 0] = 1.0
 
     def test_tb_batch_loss_and_gradients_match(self, models, library, sched, rules, reward_params):
         policy, state_model = models
@@ -614,9 +636,9 @@ class TestCELoss:
         assert len(got) == len(want) > 80
         for (x, t, a, i), (rx, rt, ra, ri) in zip(got, want):
             assert (x.components, x.open_attachments, t, a, i) == (rx.components, rx.open_attachments, rt, ra, ri)
-            for u, v in zip(x.states + x.self_cond, rx.states + rx.self_cond):
-                assert u.tobytes() == v.tobytes()
-            assert len(x.states) == len(x.self_cond) == len(x.components)
+            assert x.states.tobytes() == rx.states.tobytes()
+            assert x.self_cond.tobytes() == rx.self_cond.tobytes()
+            assert x.states.shape == x.self_cond.shape == (x.total_points(library), 2)
 
     def test_truth_always_legal(self, library, sched, rules):
         data = generate_dataset(64, 6, library, rules, sched)

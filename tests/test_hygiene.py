@@ -226,3 +226,34 @@ def test_state_text_encoding_only_in_compstate(path):
 def test_detects_codec_import():
     source = "import base64\nfrom binascii import a2b_base64\nimport json, binascii as b\nimport codecs\n"
     assert codec_imports(source) == ["base64 (line 1)", "binascii (line 2)", "binascii (line 3)"]
+
+
+# an object's states and self-conditioning are one (P, 2) matrix each;
+# compstate.component_states is the one per-component view
+STATE_FIELDS = {"states", "self_cond"}
+
+
+def state_subscripts(source: str) -> list[str]:
+    """Subscripts of a ``.states`` or ``.self_cond`` attribute."""
+    return sorted(
+        f"{ast.unparse(node)} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr in STATE_FIELDS
+    )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "compstate.py"), ids=lambda p: p.name
+)
+def test_state_rows_sliced_only_in_compstate(path):
+    assert state_subscripts(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_state_subscript():
+    source = (
+        "a = x.states[0]\nb = y.self_cond[1:3]\nc = x.states.shape[0]\nd = states[0]\n"
+        "e = component_states(x, 0, library)\nf = x.states\n"
+    )
+    assert state_subscripts(source) == ["x.states[0] (line 1)", "y.self_cond[1:3] (line 2)"]

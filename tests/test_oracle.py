@@ -16,6 +16,7 @@ from cgflow.compstate import (
     FirstSynthon,
     Synthon,
     SynthonLibrary,
+    component_states,
     replay_actions,
     sequence_key,
     transition,
@@ -84,8 +85,7 @@ class TestEnumerate:
         assert [r.key for r in t1.records] == [r.key for r in t2.records]
         for a, b in zip(t1.records, t2.records):
             assert a.log_reward == b.log_reward
-            for sa, sb in zip(a.terminal_object.states, b.terminal_object.states):
-                assert np.array_equal(sa, sb)
+            assert a.terminal_object.states.tobytes() == b.terminal_object.states.tobytes()
 
     def test_one_decision_per_nonterminal_prefix(self, frozen):
         # gate 9 counts the same 13 reachable nonterminal states
@@ -143,13 +143,14 @@ def reference_rollout(x, model, sched, from_step, to_step):
     for s in range(from_step, to_step):
         preds = tuple(np.array(p) for p in model.predict(x, s))
         states = []
-        for state, pred, end in zip(x.states, preds, ends):
+        for i, (pred, end) in enumerate(zip(preds, ends)):
+            state = component_states(x, i, model.library)
             if sched.integrator_mode == "paper":
                 state = state + (pred - state) * (kappa(s, end, sched) * sched.dt)
             elif end - s > 0:
                 state = state + (pred - state) * min(1.0, 1.0 / (end - s))
             states.append(pred if s + 1 >= end else state)
-        x = ComposedObject(x.components, tuple(states), preds, x.open_attachments)
+        x = ComposedObject(x.components, np.concatenate(states), np.concatenate(preds), x.open_attachments)
     return x
 
 
@@ -173,7 +174,7 @@ def reference_tree(rules, sched, model, library, seed):
 
 
 def state_digest(x):
-    return hashlib.sha256(b"".join(a.tobytes() for a in x.states + x.self_cond)).hexdigest()
+    return hashlib.sha256(x.states.tobytes() + x.self_cond.tobytes()).hexdigest()
 
 
 class TestPackedEnumeration:

@@ -14,6 +14,7 @@ from cgflow.compstate import (
     ComposedObject,
     FirstSynthon,
     SynthonLibrary,
+    component_states,
     decompose,
     ground_truth_layout,
     initial_state_sample,
@@ -72,7 +73,7 @@ def three_chain(library, sched):
     actions = [FirstSynthon("b2a"), AddSynthon(0, 0, "l_ab", 0), AddSynthon(1, 1, "b2b", 0)]
     x = replay_actions(actions, library, sched, global_seed=3)
     layout = ground_truth_layout(x.components, library)
-    return x.with_states(layout), [s.copy() for s in layout], actions
+    return x.with_states(np.concatenate(layout)), [s.copy() for s in layout], actions
 
 
 class TestInterpolate:
@@ -81,15 +82,14 @@ class TestInterpolate:
         plan = decompose(x, library)
         ns = interpolate(plan, 0, 0.0, sched, library, sample_seed=1)
         assert len(ns.x_t.components) == 0
-        assert ns.targets == ()
+        assert ns.targets.shape == (0, 2)
 
     def test_t_one_sigma_zero_reproduces_targets(self, library, sched, three_chain):
         x, layout, _ = three_chain
         plan = decompose(x, library)
         ns = interpolate(plan, sched.n_steps, 0.0, sched, library, sample_seed=1)
         assert len(ns.x_t.components) == 3
-        for got, want in zip(ns.x_t.states, layout):
-            assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(ns.x_t.states - np.concatenate(layout)).max() <= 1e-12
 
     def test_midpoint_mixture(self, library):
         # Fig-2 style grid: second component at t_local 0.75 mixes 3:1
@@ -97,12 +97,12 @@ class TestInterpolate:
         actions = [FirstSynthon("b2a"), AddSynthon(0, 0, "b2b", 0)]
         x = replay_actions(actions, library, sched, global_seed=3)
         layout = ground_truth_layout(x.components, library)
-        x = x.with_states(layout)
+        x = x.with_states(np.concatenate(layout))
         plan = decompose(x, library)
         ns = interpolate(plan, 10, 0.0, sched, library, sample_seed=5)
         s0 = initial_state_sample(5, 2, 2)
         expected = 0.75 * layout[1] + 0.25 * s0
-        assert np.allclose(ns.x_t.states[1], expected, atol=1e-12)
+        assert np.allclose(component_states(ns.x_t, 1, library), expected, atol=1e-12)
         assert ns.t_locals[1] == 0.75
 
     def test_strictly_after_generation(self, library, sched, three_chain):
@@ -120,8 +120,8 @@ class TestInterpolate:
         a = interpolate(plan, 10, 0.05, sched, library, rng_from(1), sample_seed=4)
         b = interpolate(plan, 10, 0.05, sched, library, rng_from(1), sample_seed=4)
         c = interpolate(plan, 10, 0.05, sched, library, rng_from(2), sample_seed=4)
-        assert np.array_equal(a.x_t.states[0], b.x_t.states[0])
-        assert not np.array_equal(a.x_t.states[0], c.x_t.states[0])
+        assert np.array_equal(a.x_t.states, b.x_t.states)
+        assert not np.array_equal(a.x_t.states, c.x_t.states)
 
 
 class ConstantOutputModel:
@@ -141,7 +141,7 @@ class TestStateLoss:
         x, layout, _ = three_chain
         plan = decompose(x, library)
         ns = interpolate(plan, sched.n_steps, 0.0, sched, library, sample_seed=1)
-        model = ConstantOutputModel(ns.targets, sched, library)
+        model = ConstantOutputModel([ns.targets], sched, library)
         tape = Tape()
         assert float(tape.value(state_loss(model, tape, [ns]))) == pytest.approx(0.0, abs=1e-24)
 
@@ -149,11 +149,9 @@ class TestStateLoss:
         x, layout, _ = three_chain
         plan = decompose(x, library)
         ns = interpolate(plan, sched.n_steps, 0.0, sched, library, sample_seed=1)
-        model = ConstantOutputModel(
-            [t + np.array([1.0, 0.0]) for t in ns.targets], sched, library
-        )
+        model = ConstantOutputModel([ns.targets + np.array([1.0, 0.0])], sched, library)
         tape = Tape()
-        total_points = sum(t.shape[0] for t in ns.targets)
+        total_points = ns.targets.shape[0]
         assert float(tape.value(state_loss(model, tape, [ns]))) == pytest.approx(total_points)
 
     def test_gradient_matches_finite_differences(self, library, sched, rules):
@@ -202,13 +200,13 @@ class TestPackedStateLoss:
         tape = Tape(model.store)
         loss = state_loss(model, tape, batch)
         [(spans, pred)] = calls
-        live = [s for s in batch if s.targets]
+        live = [s for s in batch if len(s.targets)]
         assert len(spans) == len(live) == len(batch) - 1
         want = 0.0
         for (o, m), sample in zip(spans, live):
             alone = np.concatenate(model.predict(sample.x_t, sample.t_step))
             assert pred[o : o + m].tobytes() == alone.tobytes()
-            want += float(((alone - np.concatenate(sample.targets)) ** 2).sum())
+            want += float(((alone - sample.targets) ** 2).sum())
         assert float(tape.value(loss)) == pytest.approx(want / len(batch), rel=1e-12)
 
     def test_gradient_matches_finite_differences_at_batch_ten(self, library, sched, rules):
@@ -231,9 +229,9 @@ class TestPackedStateLoss:
         assert calls == [len(batch)]
         monkeypatch.setattr(model, "predict_packed", original)
         for before, after in zip(batch, out):
-            assert [a.tobytes() for a in after.x_t.states] == [b.tobytes() for b in before.x_t.states]
+            assert after.x_t.states.tobytes() == before.x_t.states.tobytes()
             alone = model.predict(before.x_t, before.t_step)
-            assert [c.tobytes() for c in after.x_t.self_cond] == [p.tobytes() for p in alone]
+            assert after.x_t.self_cond.tobytes() == np.concatenate(alone).tobytes()
             assert after.targets is before.targets and after.t_step == before.t_step
 
 
@@ -243,15 +241,13 @@ class TestEulerRollout:
         x, layout, actions = three_chain
         start = replay_actions(actions, library, sched, global_seed=3)
         out = euler_rollout(start, OraclePredictor(layout, library), sched, 0, sched.n_steps, snap=False)
-        for got, want in zip(out.states, layout):
-            assert np.abs(got - want).max() <= 1e-9
+        assert np.abs(out.states - np.concatenate(layout)).max() <= 1e-9
 
     def test_paper_mode_lands_exactly_via_snap(self, library, sched, three_chain):
         x, layout, actions = three_chain
         start = replay_actions(actions, library, sched, global_seed=3)
         out = euler_rollout(start, OraclePredictor(layout, library), sched, 0, sched.n_steps, snap=True)
-        for got, want in zip(out.states, layout):
-            assert np.array_equal(got, want)
+        assert np.array_equal(out.states, np.concatenate(layout))
 
     def test_zero_length_interval_is_identity(self, library, sched, three_chain):
         x, layout, actions = three_chain
@@ -264,10 +260,13 @@ class TestEulerRollout:
         for mode in ("paper", "rectified"):
             sched = Schedule(lam=0.3, t_window=0.4, n_steps=20, max_components=3, integrator_mode=mode)
             x = replay_actions(actions, library, sched, global_seed=3)
-            prev = [np.linalg.norm(np.asarray(s) - l) for s, l in zip(x.states, layout)]
+            def errors(x):
+                return [np.linalg.norm(component_states(x, i, library) - l) for i, l in enumerate(layout)]
+
+            prev = errors(x)
             for s in range(sched.n_steps):
                 x = euler_rollout(x, OraclePredictor(layout, library), sched, s, s + 1)
-                cur = [np.linalg.norm(np.asarray(st) - l) for st, l in zip(x.states, layout)]
+                cur = errors(x)
                 for a, b in zip(cur, prev):
                     assert a <= b + 1e-12
                 prev = cur
@@ -296,10 +295,9 @@ class TestEulerRollout:
         model.store.set("sf.enc.0.w", w)
         start = replay_actions(actions, library, sched, global_seed=3)
         out1 = euler_rollout(start, model, sched, 0, sched.n_steps)
-        zeroed = start.with_states(start.states, self_cond=[np.zeros_like(np.asarray(s)) for s in start.states])
+        zeroed = start.with_states(start.states, self_cond=np.zeros_like(start.states))
         out2 = euler_rollout(zeroed, model, sched, 0, sched.n_steps)
-        for a, b in zip(out1.states, out2.states):
-            assert np.array_equal(a, b)
+        assert np.array_equal(out1.states, out2.states)
 
 
 CHAIN = [FirstSynthon("b2a"), AddSynthon(0, 0, "l_ab", 0), AddSynthon(1, 1, "b2b", 0)]
@@ -329,8 +327,8 @@ class TestRolloutCache:
         )
         cached = euler_rollout(x, model, sched, a, c, snap=snap, cache={})
         for out in (split, cached):
-            for got, want in zip(out.states + out.self_cond, whole.states + whole.self_cond):
-                assert got.tobytes() == want.tobytes()
+            assert out.states.tobytes() == whole.states.tobytes()
+            assert out.self_cond.tobytes() == whole.self_cond.tobytes()
 
     def test_hit_is_shared_and_read_only(self, library, sched):
         model = StateFlowModel.create(sched, library, seed=3)
@@ -339,16 +337,15 @@ class TestRolloutCache:
         first = euler_rollout(x, model, sched, 6, 12, cache=cache)
         again = euler_rollout(x, model, sched, 6, 12, cache=cache)
         assert again is first and len(cache) == 1
-        assert not any(arr.flags.writeable for arr in first.states + first.self_cond)
+        assert not first.states.flags.writeable and not first.self_cond.flags.writeable
         fresh = euler_rollout(x, model, sched, 6, 12)
-        for got, want in zip(first.states, fresh.states):
-            assert np.array_equal(got, want)
+        assert np.array_equal(first.states, fresh.states)
 
     def test_key_covers_states_self_cond_and_interval(self, library, sched):
         model = StateFlowModel.create(sched, library, seed=3)
         x = replay_actions(CHAIN[:2], library, sched, global_seed=3)
-        nudged = x.with_states([s + 1e-12 for s in x.states], self_cond=x.self_cond)
-        recond = x.with_states(x.states, self_cond=[s + 1e-12 for s in x.self_cond])
+        nudged = x.with_states(x.states + 1e-12, self_cond=x.self_cond)
+        recond = x.with_states(x.states, self_cond=x.self_cond + 1e-12)
         cache: dict = {}
         outs = [
             euler_rollout(x, model, sched, 6, 12, cache=cache),
@@ -408,12 +405,12 @@ class TestIntegratePacked:
         model, step, children = sibling_decision(library, sched, rules, seed, depth)
         to_step = min(sched.n_steps, step + length)
         packed = integrate_packed(children, model, sched, step, to_step, snap=snap)
-        assert len({sum(len(s) for s in c.states) for c in children}) > 1
+        assert len({len(c.states) for c in children}) > 1
         assert {c.is_terminal for c in children} == {True, False}
         for child, got in zip(children, packed):
             want = euler_rollout(child, model, sched, step, to_step, snap=snap)
             assert got.components == want.components
-            for a, b in zip(got.states + got.self_cond, want.states + want.self_cond):
+            for a, b in ((got.states, want.states), (got.self_cond, want.self_cond)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_one_forward_per_step_for_the_group(self, library):
@@ -431,8 +428,7 @@ class TestIntegratePacked:
         out = integrate_packed([EMPTY_OBJECT, x, EMPTY_OBJECT], model, sched, 6, 12)
         assert out[0] is EMPTY_OBJECT and out[2] is EMPTY_OBJECT
         want = euler_rollout(x, model, sched, 6, 12)
-        for a, b in zip(out[1].states, want.states):
-            assert a.tobytes() == b.tobytes()
+        assert out[1].states.tobytes() == want.states.tobytes()
         same = integrate_packed([x, EMPTY_OBJECT], model, sched, 9, 9)
         assert same[0] is x and same[1] is EMPTY_OBJECT
 
@@ -440,16 +436,17 @@ class TestIntegratePacked:
         sched = _mode_sched("rectified")
         model = StateFlowModel.create(sched, library, seed=3)
         x = replay_actions(CHAIN[:2], library, sched, global_seed=3)
-        zeros = [np.full_like(s, -0.0) for s in x.states]
+        zeros = np.full_like(x.states, -0.0)
         # component 0's window [0, 8) has closed by step 12; component 1's is open
         out = euler_rollout(x.with_states(zeros, self_cond=zeros), model, sched, 12, 13, snap=False)
-        assert np.signbit(out.states[0]).all() and not np.signbit(out.states[1]).all()
+        assert np.signbit(component_states(out, 0, library)).all()
+        assert not np.signbit(component_states(out, 1, library)).all()
 
     def test_non_finite_names_step_object_and_component(self, library, sched):
         model = StateFlowModel.create(sched, library, seed=3)
         a = replay_actions(CHAIN[:1], library, sched, global_seed=3)
         b = replay_actions(CHAIN, library, sched, global_seed=3)
-        bad_row = a.states[0].shape[0] + b.states[0].shape[0] + 1  # object 1, component 1
+        bad_row = len(a.states) + len(component_states(b, 0, library)) + 1  # object 1, component 1
 
         class BadRow:
             def __init__(self, library):
@@ -484,7 +481,7 @@ class TestPackRows:
         sched = Schedule(lam=0.1, t_window=0.4, n_steps=20, max_components=8, integrator_mode=mode)
         # the last component is generated at step 6: [7, 20) holds no action
         xs = [EMPTY_OBJECT] + mixed_objects(library, sched, RuleSet(max_len=7, p_max=18), 4)
-        rows = [sum(len(s) for s in x.states) for x in xs]
+        rows = [len(x.states) for x in xs]
         total, smallest = sum(rows), min(r for r in rows if r)
         model = StateFlowModel.create(sched, library, seed=8)
         calls = []  # (rows, objects) per forward
@@ -507,14 +504,15 @@ class TestPackRows:
             assert all(n <= budget or k == 1 for n, k in packs)
             assert out[0] is EMPTY_OBJECT
             for objs in zip(out[1:], unsplit[1:], alone[1:]):
-                for u, v, w in zip(*(x.states + x.self_cond for x in objs)):
+                for field in ("states", "self_cond"):
+                    u, v, w = (getattr(x, field) for x in objs)
                     assert u.tobytes() == v.tobytes() == w.tobytes()
 
     def test_non_finite_names_the_object_across_packs(self, library, sched, monkeypatch):
         model = StateFlowModel.create(sched, library, seed=3)
         a = replay_actions(CHAIN[:1], library, sched, global_seed=3)
         b = replay_actions(CHAIN, library, sched, global_seed=3)
-        rows_b = sum(len(s) for s in b.states)
+        rows_b = len(b.states)
 
         class BadOnB:
             def __init__(self, library):
@@ -523,7 +521,7 @@ class TestPackRows:
             def predict_packed(self, feats, spans):
                 out = model.predict_packed(feats, spans)
                 if feats.shape[0] == rows_b:
-                    out[len(b.states[0]), 0] = np.nan  # object b, component 1
+                    out[len(component_states(b, 0, library)), 0] = np.nan  # object b, component 1
                 return out
 
         monkeypatch.setattr(sfmod, "PACK_ROWS", 1)
@@ -542,8 +540,8 @@ def reference_features(x, t_step, sched, library):
         flags = {a.point_index: 1.0 if a.klass == "alpha" else -1.0 for a in synthon.attachments}
         for j in range(synthon.n_points):
             row = np.zeros(feature_dim(sched))
-            row[0:2] = x.states[i][j]
-            row[2:4] = x.self_cond[i][j]
+            row[0:2] = component_states(x, i, library)[j]
+            row[2:4] = component_states(x, i, library, self_cond=True)[j]
             row[4] = t_local_from_steps(t_step, comp.t_gen_step, sched)
             row[5] = flags.get(j, 0.0)
             row[6 + min(i, mc - 1)] = 1.0
@@ -561,7 +559,7 @@ def every_synthon_object(library, sched, seed):
         comps.append(ComponentInstance(synthon.id, None, None, None, i * sched.lam_steps))
         states.append(rng.normal(size=(synthon.n_points, 2)))
         cond.append(rng.normal(size=(synthon.n_points, 2)))
-    return ComposedObject(components=tuple(comps), states=tuple(states), self_cond=tuple(cond))
+    return ComposedObject(components=tuple(comps), states=np.concatenate(states), self_cond=np.concatenate(cond))
 
 
 def swapped_klasses(library):
